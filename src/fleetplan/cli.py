@@ -13,6 +13,7 @@ time); all data outputs are byte-identical for identical arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
@@ -22,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import (ConfigError, DemandSeries, FleetParams, gen_demand,
-                     load_config, load_demand, save_demand)
+from .domain import (ConfigError, FleetParams, gen_demand, load_config,
+                     load_demand, save_demand)
 from .forecast import (ArimaOrder, DegenerateSeriesError, LengthMismatchError,
                        NoninvertibleMAError, NumericalBreakdownError,
-                       SeriesTooShortError, acf, astrom_predict, pacf,
+                       SeriesTooShortError, acf, extend_demand, pacf,
                        r_squared, rls_fit, whiteness_check,
                        write_diagnostics_csv, write_forecast_csv)
 from .greedy import UnseedableError
@@ -198,11 +199,7 @@ def cmd_forecast(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     model, resid = rls_fit(demand.values, order, args.forgetting)
-    extension = []
-    for k in range(1, args.horizon + 1):
-        raw = astrom_predict(model, demand.values, k)
-        extension.append(max(0, int(np.floor(raw + 0.5))))
-    forecast_series = DemandSeries(tuple(extension))
+    forecast_series = extend_demand(model, demand, args.horizon)
 
     n_params = order.p + order.q
     max_lag = min(args.max_lag, len(resid) - 1)
@@ -264,14 +261,8 @@ def cmd_bench(args) -> int:
         hybrid = solve(demand, fleet, costs, config, schedule_prog)
         timings["hybrid"] += (time.perf_counter_ns() - t0) // 1_000_000
         # the baseline gets the same evaluation budget the hybrid spent
-        plain_config = SolverConfig(
-            population_size=config.population_size,
-            crossover_rate=config.crossover_rate,
-            base_mutation_rate=config.base_mutation_rate,
-            mutation_magnitude_per_temp=config.mutation_magnitude_per_temp,
-            rng_seed=seed,
-            max_iterations=max(hybrid.trace.evals_total, config.population_size),
-        )
+        plain_config = dataclasses.replace(
+            config, max_iterations=max(hybrid.trace.evals_total, config.population_size))
         t0 = time.perf_counter_ns()
         plain = solve_plain_ga(demand, fleet, costs, plain_config)
         timings["plain"] += (time.perf_counter_ns() - t0) // 1_000_000

@@ -123,21 +123,6 @@ def integrate(diffed, initial_values, d: int) -> np.ndarray:
     return x
 
 
-@dataclass
-class RlsState:
-    """Running state of the recursive estimator."""
-
-    theta: np.ndarray        # [ar_1..ar_p, ma_1..ma_q]
-    covariance: np.ndarray
-    forgetting_factor: float
-    samples_seen: int
-
-    def __post_init__(self):
-        if not (0.9 < self.forgetting_factor <= 1.0):
-            raise ValueError(
-                f"forgetting factor must lie in (0.9, 1], got {self.forgetting_factor}")
-
-
 def _variance(resid: np.ndarray) -> float:
     out = float(np.mean(resid * resid))
     if not np.isfinite(out):
@@ -154,6 +139,9 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
     residual estimates refreshed after each parameter update.  Lags that
     reach before the start of the sample are taken as zero.
     """
+    if not (0.9 < forgetting_factor <= 1.0):
+        raise ValueError(
+            f"forgetting factor must lie in (0.9, 1], got {forgetting_factor}")
     x = np.asarray(series, dtype=float)
     dim = order.p + order.q
     if len(x) < max(10 * dim, order.d + 2):
@@ -170,12 +158,9 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
         model = ArimaModel(order, (), (), mean, _variance(w) if n else 0.0)
         return model, w.copy()
 
-    state = RlsState(theta=np.zeros(dim),
-                     covariance=np.eye(dim) * 1e6,
-                     forgetting_factor=forgetting_factor,
-                     samples_seen=0)
-    lam = state.forgetting_factor
-    theta, P = state.theta, state.covariance
+    lam = forgetting_factor
+    theta = np.zeros(dim)  # [ar_1..ar_p, ma_1..ma_q]
+    P = np.eye(dim) * 1e6
     resid = np.zeros(n)
     for t in range(n):
         phi = np.empty(dim)
@@ -197,8 +182,6 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
         resid[t] = w[t] - float(phi @ theta)
         if not (np.all(np.isfinite(theta)) and np.isfinite(resid[t])):
             raise NumericalBreakdownError(f"estimate lost finiteness at sample {t}")
-        state.samples_seen += 1
-    state.theta, state.covariance = theta, P
 
     model = ArimaModel(order,
                        tuple(theta[:order.p]),
@@ -357,11 +340,14 @@ def forecast_demand(series: DemandSeries, order: ArimaOrder, horizon: int,
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     model, _ = rls_fit(series.values, order, forgetting_factor)
-    out = []
-    for k in range(1, horizon + 1):
-        raw = astrom_predict(model, series.values, k)
-        out.append(max(0, round_half_up(raw)))
-    return DemandSeries(tuple(out))
+    return extend_demand(model, series, horizon)
+
+
+def extend_demand(model: ArimaModel, series: DemandSeries, horizon: int) -> DemandSeries:
+    """The 1..horizon-step predictions of a fitted model, rounded half-up
+    and clamped at zero."""
+    preds = (astrom_predict(model, series.values, k) for k in range(1, horizon + 1))
+    return DemandSeries(tuple(max(0, round_half_up(p)) for p in preds))
 
 
 def acf(series, max_lag: int) -> np.ndarray:

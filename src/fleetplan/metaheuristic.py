@@ -1,11 +1,13 @@
-"""Hybrid genetic search with an annealing temperature loop.
+"""Genetic search over purchase plans: one loop, two policies.
 
-The temperature does two jobs: it scales mutation magnitude, and it
-drives termination through geometric cooling with a logarithmic reheat
-whenever the best cost improves.  Fitness is total schedule cost after
-repair, so every evaluated individual is feasible and no penalty terms
-are needed.  A plain GA with the identical loop minus the temperature
-machinery serves as the comparison baseline.
+The hybrid seeds its population from the greedy plan and lets an
+annealing temperature scale mutation magnitude and end the run through
+geometric cooling with a logarithmic reheat whenever the best cost
+improves.  The plain-GA baseline starts from random plans, mutates with
+unit magnitude and has no temperature.  Both run the same generation
+loop, which also stops at the evaluation budget or when it stalls.
+Fitness is total schedule cost after repair, so every evaluated
+individual is feasible and no penalty terms are needed.
 
 Determinism: one Random(seed) stream is consumed in a fixed order each
 generation (two selection draws per pairing, one crossover draw per
@@ -28,11 +30,11 @@ from .model import Schedule, UnrepairableError, repair_and_simulate, simulate
 
 REHEAT_EPS = 1e-9
 
-# The baseline GA stops early after this many consecutive generations
-# without a single novel evaluation.  Its budget counts distinct plans,
-# so on a search space smaller than the budget it could otherwise spin
-# forever re-breeding cached individuals; the hybrid needs no such guard
-# because cooling always reaches the termination floor.
+# The search stops after this many consecutive generations without a
+# single novel evaluation.  The budget counts distinct plans, so on a
+# search space smaller than the budget the baseline could otherwise spin
+# forever re-breeding cached individuals; a hybrid that stalls this long
+# is just as stuck.
 _STALL_GENERATIONS = 200
 
 
@@ -61,7 +63,6 @@ class SolverConfig:
     mutation_magnitude_per_temp: float = 0.05
     rng_seed: int = 0
     max_iterations: int = 200_000  # cap on fitness evaluations
-    elitism: bool = True
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -74,8 +75,6 @@ class SolverConfig:
             raise ValueError("mutation_magnitude_per_temp must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.elitism:
-            raise ValueError("elitism is fixed on; the best individual always survives")
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,6 @@ class SolveResult:
     plan: ProcurementPlan
     schedule: Schedule
     trace: ConvergenceTrace
-
-
-def fitness(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
-            costs: CostParams) -> Decimal:
-    """Total cost of the repaired plan's schedule."""
-    return repair_and_simulate(plan, demand, params, costs)[1].total_cost
 
 
 def anneal_step(temperature: float, improved: bool, schedule: AnnealSchedule) -> float:
@@ -231,7 +224,11 @@ def _mean(costs_: list[Decimal]) -> Decimal:
 def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
                      temperature: float | None, config: SolverConfig,
                      rng: Random, evaluate: _Evaluator) -> list[tuple[ProcurementPlan, Decimal]]:
-    """Elite first, then selection/crossover/mutation children, evaluated."""
+    """Elite first, then selection/crossover/mutation children, evaluated.
+
+    Breeding stops as soon as the evaluation budget is spent, so the last
+    generation of a run may be short.
+    """
     plans = [p for p, _ in population]
     costs_ = [c for _, c in population]
     best_idx = min(range(len(costs_)), key=lambda k: costs_[k])
@@ -244,7 +241,61 @@ def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
             got = evaluate.try_call(child)
             if got is not None and len(nxt) < config.population_size:
                 nxt.append(got)
+            if evaluate.evals >= config.max_iterations:
+                return nxt
     return nxt
+
+
+def _populate(population: list[tuple[ProcurementPlan, Decimal]], breed,
+              config: SolverConfig, evaluate: _Evaluator) -> list[tuple[ProcurementPlan, Decimal]]:
+    """Fill the population with evaluated plans from breed(), skipping
+    unrepairable ones."""
+    while len(population) < config.population_size:
+        got = evaluate.try_call(breed())
+        if got is not None:
+            population.append(got)
+    return population
+
+
+def _search(population: list[tuple[ProcurementPlan, Decimal]],
+            schedule: AnnealSchedule | None, config: SolverConfig, rng: Random,
+            evaluate: _Evaluator) -> SolveResult:
+    """The generation loop both solvers share; schedule None is the baseline.
+
+    With a schedule, the temperature scales mutation magnitude and the run
+    ends once it drops below the termination floor.  Without one, mutation
+    magnitude is 1 and the trace records temperature 0.0.  Either way the
+    run also ends at the evaluation budget or after _STALL_GENERATIONS
+    generations without a novel evaluation.
+    """
+    points: list[TracePoint] = []
+    temperature = None if schedule is None else schedule.initial_temp
+    reheats = 0
+    prev_best: Decimal | None = None
+    stall = 0
+    iteration = 0
+    while True:
+        iteration += 1
+        if schedule is not None:
+            improved = prev_best is None or evaluate.best_cost < prev_best
+            prev_best = evaluate.best_cost
+            if improved and temperature > 1.0 + REHEAT_EPS:
+                reheats += 1
+            temperature = anneal_step(temperature, improved, schedule)
+        points.append(TracePoint(iteration, 0.0 if temperature is None else temperature,
+                                 evaluate.best_cost, _mean([c for _, c in population]),
+                                 reheats))
+        if ((schedule is not None and temperature < schedule.termination_temp)
+                or evaluate.evals >= config.max_iterations
+                or stall >= _STALL_GENERATIONS):
+            break
+        before = evaluate.evals
+        population = _next_generation(population, temperature, config, rng, evaluate)
+        stall = stall + 1 if evaluate.evals == before else 0
+
+    best = evaluate.best_plan
+    return SolveResult(best, simulate(best, evaluate.demand, evaluate.params, evaluate.costs),
+                       ConvergenceTrace(points, evaluate.evals, evaluate.evals_to_best))
 
 
 def solve(demand: DemandSeries, params: FleetParams, costs: CostParams,
@@ -253,54 +304,22 @@ def solve(demand: DemandSeries, params: FleetParams, costs: CostParams,
           use_greedy_seed: bool = True) -> SolveResult:
     """Hybrid search: greedy-seeded population, annealing-driven loop.
 
-    Runs until the temperature drops below the termination floor or the
-    evaluation cap is hit.  Returns the best plan, its schedule, and the
-    per-generation convergence trace.
+    Runs until the temperature drops below the termination floor, the
+    evaluation cap is hit, or the search stalls.  Returns the best plan,
+    its schedule, and the per-generation convergence trace.
     """
     rng = Random(config.rng_seed)
     evaluate = _Evaluator(demand, params, costs)
-
-    population: list[tuple[ProcurementPlan, Decimal]] = []
     if use_greedy_seed:
         seeded = seed_plan(demand, params, costs)
         seeded, _ = reduce_plan(seeded, demand, params, costs)
-        population.append(evaluate(seeded))
-        while len(population) < config.population_size:
-            jittered = mutate(seeded, schedule.initial_temp, config, rng)
-            got = evaluate.try_call(jittered)
-            if got is not None:
-                population.append(got)
+        population = _populate([evaluate(seeded)],
+                               lambda: mutate(seeded, schedule.initial_temp, config, rng),
+                               config, evaluate)
     else:
-        while len(population) < config.population_size:
-            got = evaluate.try_call(_random_plan(len(demand), demand, rng))
-            if got is not None:
-                population.append(got)
-
-    trace = ConvergenceTrace()
-    temperature = schedule.initial_temp
-    reheats = 0
-    prev_best: Decimal | None = None
-    iteration = 0
-    while True:
-        iteration += 1
-        improved = prev_best is None or evaluate.best_cost < prev_best
-        prev_best = evaluate.best_cost
-        before = temperature
-        temperature = anneal_step(temperature, improved, schedule)
-        if improved and before > 1.0 + REHEAT_EPS:
-            reheats += 1
-        trace.points.append(TracePoint(iteration, temperature, evaluate.best_cost,
-                                       _mean([c for _, c in population]), reheats))
-        if temperature < schedule.termination_temp:
-            break
-        if evaluate.evals >= config.max_iterations:
-            break
-        population = _next_generation(population, temperature, config, rng, evaluate)
-
-    trace.evals_total = evaluate.evals
-    trace.evals_to_best = evaluate.evals_to_best
-    best = evaluate.best_plan
-    return SolveResult(best, simulate(best, demand, params, costs), trace)
+        population = _populate([], lambda: _random_plan(len(demand), demand, rng),
+                               config, evaluate)
+    return _search(population, schedule, config, rng, evaluate)
 
 
 def solve_plain_ga(demand: DemandSeries, params: FleetParams, costs: CostParams,
@@ -309,32 +328,9 @@ def solve_plain_ga(demand: DemandSeries, params: FleetParams, costs: CostParams,
     magnitude, no temperature, and a fixed evaluation budget."""
     rng = Random(config.rng_seed)
     evaluate = _Evaluator(demand, params, costs)
-    population = []
-    while len(population) < config.population_size:
-        got = evaluate.try_call(_random_plan(len(demand), demand, rng))
-        if got is not None:
-            population.append(got)
-
-    trace = ConvergenceTrace()
-    reheats = 0
-    iteration = 0
-    stall = 0
-    while True:
-        iteration += 1
-        trace.points.append(TracePoint(iteration, 0.0, evaluate.best_cost,
-                                       _mean([c for _, c in population]), reheats))
-        if evaluate.evals >= config.max_iterations:
-            break
-        if stall >= _STALL_GENERATIONS:
-            break
-        before = evaluate.evals
-        population = _next_generation(population, None, config, rng, evaluate)
-        stall = stall + 1 if evaluate.evals == before else 0
-
-    trace.evals_total = evaluate.evals
-    trace.evals_to_best = evaluate.evals_to_best
-    best = evaluate.best_plan
-    return SolveResult(best, simulate(best, demand, params, costs), trace)
+    population = _populate([], lambda: _random_plan(len(demand), demand, rng),
+                           config, evaluate)
+    return _search(population, None, config, rng, evaluate)
 
 
 def write_trace_csv(path: str | Path, trace: ConvergenceTrace) -> None:

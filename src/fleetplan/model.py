@@ -191,12 +191,6 @@ class WeekRecord:
     operators_owned: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class WeekOutcome:
-    next_state: FleetState
-    record: WeekRecord
-
-
 @dataclass(frozen=True)
 class Schedule:
     records: tuple[WeekRecord, ...]
@@ -248,9 +242,9 @@ def _enter_maintenance(survivors: Pool, is_discard) -> tuple[Pool, int]:
 
 
 def step_week(state: FleetState, buys: tuple[int, int], demand: int,
-              params: FleetParams, costs: CostParams) -> WeekOutcome:
-    """Advance the fleet one week; raises InfeasibleError when the week
-    cannot be staffed.
+              params: FleetParams, costs: CostParams) -> tuple[FleetState, WeekRecord]:
+    """Advance the fleet one week and return (next_state, record); raises
+    InfeasibleError when the week cannot be staffed.
 
     buys is (vessel_buys, operator_buys) for the week being entered.
     Feasibility is reported with vessel shortfalls first, then operator
@@ -333,7 +327,7 @@ def step_week(state: FleetState, buys: tuple[int, int], demand: int,
         vessels_owned=avail_v_n + maint_v_n + cb,
         operators_owned=avail_o_n + maint_o_n + ob,
     )
-    return WeekOutcome(next_state, record)
+    return next_state, record
 
 
 def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
@@ -348,11 +342,10 @@ def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
     records = []
     total = Decimal(0)
     for i in range(params.horizon):
-        outcome = step_week(state, (plan.vessel_buys[i], plan.operator_buys[i]),
-                            demand[i], params, costs)
-        state = outcome.next_state
-        records.append(outcome.record)
-        total += outcome.record.week_cost
+        state, record = step_week(state, (plan.vessel_buys[i], plan.operator_buys[i]),
+                                  demand[i], params, costs)
+        records.append(record)
+        total += record.week_cost
     return Schedule(tuple(records), total)
 
 
@@ -502,13 +495,6 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
     return out
 
 
-_REPAIR_BUMPS = {
-    INSUFFICIENT_VESSELS: "vessel",
-    INSUFFICIENT_OPERATORS: "operator",
-    INSUFFICIENT_INSTRUCTORS: "operator",
-}
-
-
 def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
                         params: FleetParams, costs: CostParams,
                         ) -> tuple[ProcurementPlan, Schedule]:
@@ -546,8 +532,8 @@ def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
     i = 0
     while i < params.horizon:
         try:
-            outcome = step_week(states[i], (vessel[i], operator[i]),
-                                demand[i], params, costs)
+            state, record = step_week(states[i], (vessel[i], operator[i]),
+                                      demand[i], params, costs)
         except InfeasibleError as err:
             bumps += 1
             if bumps > limit:
@@ -584,7 +570,7 @@ def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
                     err.week,
                     f"{err.code}: week-1 demand exceeds the initial fleet "
                     f"by {err.shortfall}") from None
-            if _REPAIR_BUMPS[err.code] == "vessel":
+            if err.code == INSUFFICIENT_VESSELS:
                 vessel[err.week - 2] += err.shortfall
             else:
                 operator[err.week - 2] += err.shortfall
@@ -593,8 +579,8 @@ def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
             del states[i + 1:]
             del records[i:]
             continue
-        states.append(outcome.next_state)
-        records.append(outcome.record)
+        states.append(state)
+        records.append(record)
         i += 1
     fixed = ProcurementPlan(tuple(vessel), tuple(operator))
     total = sum((r.week_cost for r in records), Decimal(0))

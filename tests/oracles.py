@@ -54,15 +54,15 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
         for cb in range(max_buy + 1):
             for ob in range(max_buy + 1):
                 try:
-                    outcome = step_week(state, (cb, ob), demand[i], params, costs)
+                    nxt_state, record = step_week(state, (cb, ob), demand[i], params, costs)
                 except InfeasibleError:
                     continue
-                nxt_cost = cost + outcome.record.week_cost
+                nxt_cost = cost + record.week_cost
                 if nxt_cost >= best_cost:
                     continue
                 vessel.append(cb)
                 operator.append(ob)
-                dfs(i + 1, outcome.next_state, nxt_cost)
+                dfs(i + 1, nxt_state, nxt_cost)
                 vessel.pop()
                 operator.pop()
 

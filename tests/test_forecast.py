@@ -60,9 +60,10 @@ class TestOrderAndFit:
 
     def test_forgetting_factor_range(self):
         series = list(range(30))
-        for lam in (0.89, 0.0, 1.1):
-            with pytest.raises(ValueError):
-                rls_fit(series, ArimaOrder(1, 0, 0), lam)
+        for order in (ArimaOrder(1, 0, 0), ArimaOrder(0, 1, 0)):
+            for lam in (0.89, 0.0, 1.1):
+                with pytest.raises(ValueError):
+                    rls_fit(series, order, lam)
         rls_fit([float(v % 7) for v in range(30)], ArimaOrder(1, 0, 0), 0.95)
 
     def test_too_short_series(self):

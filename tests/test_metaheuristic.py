@@ -133,8 +133,6 @@ class TestVariationOperators:
             SolverConfig(mutation_magnitude_per_temp=0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(elitism=False)
 
 
 def small_solve(seed=0, **kw):
@@ -211,9 +209,7 @@ class TestPlainGA:
     def test_runs_to_budget_and_validates(self):
         cfg = SolverConfig(population_size=12, rng_seed=5, max_iterations=150)
         res = solve_plain_ga(SMALL["demand"], SMALL["params"], COSTS, cfg)
-        assert res.trace.evals_total >= 150
-        # one in-flight generation may land past the cap, never more
-        assert res.trace.evals_total < 150 + 2 * cfg.population_size
+        assert res.trace.evals_total == 150
         assert res.trace.points[-1].temperature == 0.0
         bad = validate(res.schedule, SMALL["demand"], SMALL["params"], COSTS)
         assert bad == []
