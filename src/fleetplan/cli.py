@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domain import (ConfigError, FleetParams, gen_demand, load_config,
-                     load_demand, save_demand)
+from .domain import (ConfigError, CostParams, DemandSeries, FleetParams,
+                     gen_demand, load_config, load_demand, save_demand)
 from .forecast import (ArimaOrder, DegenerateSeriesError, LengthMismatchError,
                        NoninvertibleMAError, NumericalBreakdownError,
                        SeriesTooShortError, acf, extend_demand, pacf,
@@ -51,16 +51,19 @@ SCENARIOS = {
 
 
 def _apply_scenario(fleet: FleetParams, name: str | None) -> FleetParams:
-    if not name:
-        return fleet
-    overrides = SCENARIOS[name]
-    return FleetParams(
-        instruct_capacity=overrides.get("instruct_capacity", fleet.instruct_capacity),
-        attrition_rate=overrides.get("attrition_rate", fleet.attrition_rate),
-        initial_vessels=fleet.initial_vessels,
-        initial_operators=fleet.initial_operators,
-        horizon=fleet.horizon,
-    )
+    return dataclasses.replace(fleet, **SCENARIOS[name]) if name else fleet
+
+
+def _load_instance(args) -> tuple[CostParams, FleetParams, DemandSeries]:
+    """Prices, fleet under the scenario, and a demand series that covers
+    the config's horizon."""
+    costs, fleet = load_config(args.config)
+    fleet = _apply_scenario(fleet, args.scenario)
+    demand = load_demand(args.demand)
+    if len(demand) != fleet.horizon:
+        raise ConfigError(
+            f"demand covers {len(demand)} weeks but config horizon is {fleet.horizon}")
+    return costs, fleet, demand
 
 
 def write_manifest(path: Path, entries: dict) -> None:
@@ -104,12 +107,7 @@ def cmd_gen_demand(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter_ns()
-    costs, fleet = load_config(args.config)
-    fleet = _apply_scenario(fleet, args.scenario)
-    demand = load_demand(args.demand)
-    if len(demand) != fleet.horizon:
-        raise ConfigError(
-            f"demand covers {len(demand)} weeks but config horizon is {fleet.horizon}")
+    costs, fleet, demand = _load_instance(args)
     config = _solver_config(args, args.seed)
     schedule_prog = _anneal_schedule(args)
     out_dir = Path(args.out_dir)
@@ -242,12 +240,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_bench(args) -> int:
     started = time.perf_counter_ns()
-    costs, fleet = load_config(args.config)
-    fleet = _apply_scenario(fleet, args.scenario)
-    demand = load_demand(args.demand)
-    if len(demand) != fleet.horizon:
-        raise ConfigError(
-            f"demand covers {len(demand)} weeks but config horizon is {fleet.horizon}")
+    costs, fleet, demand = _load_instance(args)
     out_path = Path(args.out)
     out_dir = out_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,13 +1,14 @@
 """Weekly fleet simulator, cost model, constraint validator, and plan repair.
 
 The simulator advances one week at a time over pools of vessels and
-operators.  Pools are stored as {cumulative_maintenance_weeks: count}
-maps rather than per-unit ledgers: every rule in the model depends only
-on a unit's status and its accumulated maintenance weeks, so units in
-the same bucket are interchangeable.  Wherever a subset of a pool must
-be picked (deployment, attrition, instructor duty) units are taken in
-ascending order of accumulated maintenance weeks, which keeps every run
-deterministic.
+operators.  A pool is a tuple of counts indexed by accumulated
+maintenance weeks (pool[w] units have worn w weeks) rather than a
+per-unit ledger: every rule in the model depends only on a unit's status
+and its wear, so units at the same wear are interchangeable.  Between
+weeks each unit kind needs only two pools, the units ready to be staffed
+and the units that just worked.  Wherever a subset of a pool must be
+picked (deployment, attrition, instructor duty) units are taken lowest
+wear first, which keeps every run deterministic.
 
 Within a week the fixed order of events is:
   attrition on last week's working units -> survivors enter one week of
@@ -27,12 +28,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from itertools import zip_longest
 from pathlib import Path
 
 from .domain import (CostParams, DemandSeries, FleetParams, ProcurementPlan,
                      ceil_div, round_half_up)
 
 VIOLATION_CODES = frozenset({
+    "COST_ACCOUNT",
     "EQ7_USAGE",
     "EQ9_OPERATOR_USAGE",
     "EQ11_INSTRUCTORS",
@@ -81,25 +84,11 @@ class Violation:
             raise ValueError(f"unknown constraint code: {self.constraint}")
 
 
-Pool = dict[int, int]  # accumulated maintenance weeks -> unit count
+Pool = tuple[int, ...]  # pool[w] = units with w accumulated maintenance weeks
 
 
-def _total(pool: Pool) -> int:
-    return sum(pool.values())
-
-
-def _merge(*pools: Pool) -> Pool:
-    live = [p for p in pools if p]
-    if not live:
-        return {}
-    if len(live) == 1:
-        # pools are never mutated in place, so sharing the dict is safe
-        return live[0]
-    out = dict(live[0])
-    for pool in live[1:]:
-        for w, n in pool.items():
-            out[w] = out.get(w, 0) + n
-    return out
+def _add(*pools: Pool) -> Pool:
+    return tuple(map(sum, zip_longest(*pools, fillvalue=0)))
 
 
 def _take_lowest(pool: Pool, n: int) -> tuple[Pool, Pool]:
@@ -107,67 +96,38 @@ def _take_lowest(pool: Pool, n: int) -> tuple[Pool, Pool]:
 
     Returns (taken, rest).  Callers check sufficiency beforehand.
     """
-    if n == 0:
-        return {}, pool
-    taken: Pool = {}
-    rest: Pool = {}
-    left = n
-    for w in sorted(pool):
-        count = pool[w]
-        grab = min(left, count)
-        if grab:
-            taken[w] = grab
-            left -= grab
-        if count - grab:
-            rest[w] = count - grab
-    if left:
-        raise ValueError(f"pool exhausted: wanted {n}, short {left}")
-    return taken, rest
+    if not n:
+        return (), pool
+    for w, count in enumerate(pool):
+        if count >= n:
+            return pool[:w] + (n,), (0,) * w + (count - n,) + pool[w + 1:]
+        n -= count
+    raise ValueError(f"pool exhausted: short {n}")
 
 
 @dataclass(slots=True)
 class FleetState:
-    """Snapshot of every pool at the end of a completed week.
+    """The two pools per unit kind at the end of a completed week.
 
-    Treated as immutable by convention: step_week builds fresh maps and
-    never touches its input, so states can be shared freely.
+    A ready pool holds every unit that can be staffed next week: this
+    week's idle units, its shop and its instructors, plus its purchases
+    at wear 0 (commissioned or trained by then).  An in-use pool holds
+    this week's deployed units; next week they meet attrition and go to
+    the shop.  Treated as immutable by convention: step_week builds
+    fresh tuples and never touches its input, so states can be shared
+    freely.
     """
 
     week: int
-    vessels_available: Pool
+    vessels_ready: Pool
     vessels_in_use: Pool
-    vessels_maint: Pool
-    vessels_commissioning: int
-    ops_available: Pool
+    ops_ready: Pool
     ops_in_use: Pool
-    ops_maint: Pool
-    ops_instructing: Pool
-    ops_training: int
 
     @classmethod
     def initial(cls, params: FleetParams) -> "FleetState":
         """Week-0 state: the starting stock idle and fully skilled."""
-        return cls(
-            week=0,
-            vessels_available={0: params.initial_vessels} if params.initial_vessels else {},
-            vessels_in_use={},
-            vessels_maint={},
-            vessels_commissioning=0,
-            ops_available={0: params.initial_operators} if params.initial_operators else {},
-            ops_in_use={},
-            ops_maint={},
-            ops_instructing={},
-            ops_training=0,
-        )
-
-    def vessels_owned(self) -> int:
-        return (_total(self.vessels_available) + _total(self.vessels_in_use)
-                + _total(self.vessels_maint) + self.vessels_commissioning)
-
-    def operators_owned(self) -> int:
-        return (_total(self.ops_available) + _total(self.ops_in_use)
-                + _total(self.ops_maint) + _total(self.ops_instructing)
-                + self.ops_training)
+        return cls(0, (params.initial_vessels,), (), (params.initial_operators,), ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,30 +175,23 @@ def discard_operator(maint_weeks: int, costs: CostParams) -> bool:
 
 def _attrit(in_use: Pool, rate: Decimal) -> tuple[int, Pool]:
     """Destroy round-half-up(rate * pool size) units, lowest wear first."""
-    if not in_use or not rate:
-        return 0, in_use
-    destroyed = round_half_up(rate * _total(in_use))
-    _, survivors = _take_lowest(in_use, destroyed)
-    return destroyed, survivors
+    destroyed = round_half_up(rate * sum(in_use)) if rate else 0
+    return destroyed, _take_lowest(in_use, destroyed)[1]
 
 
 def _enter_maintenance(survivors: Pool, is_discard) -> tuple[Pool, int]:
     """Advance wear by one week and apply the discard rule on entry.
 
-    Discarded units never take up a maintenance slot and incur no
-    maintenance charge for the week.
+    Pools only grow a level here, and a new top level past the discard
+    threshold is dropped at once, so no pool ever holds a unit past it.
+    More wear never brings a unit back under it, so only the top level
+    of the shifted pool can cross it.  Discarded units never take up a
+    maintenance slot and incur no maintenance charge for the week.
     """
-    if not survivors:
-        return {}, 0
-    maint: Pool = {}
-    discards = 0
-    for w, n in survivors.items():
-        w_next = w + 1
-        if is_discard(w_next):
-            discards += n
-        else:
-            maint[w_next] = maint.get(w_next, 0) + n
-    return maint, discards
+    maint = (0, *survivors)
+    if is_discard(len(survivors)):
+        return maint[:-1], maint[-1]
+    return maint, 0
 
 
 def step_week(state: FleetState, buys: tuple[int, int], demand: int,
@@ -263,19 +216,12 @@ def step_week(state: FleetState, buys: tuple[int, int], demand: int,
     maint_v, discards_v = _enter_maintenance(surv_v, lambda w: discard_vessel(w, costs))
     maint_o, discards_o = _enter_maintenance(surv_o, lambda w: discard_operator(w, costs))
 
-    # everyone who finished maintenance, commissioning, training, or
-    # instructor duty last week is available again
-    avail_v = _merge(state.vessels_available, state.vessels_maint,
-                     {0: state.vessels_commissioning} if state.vessels_commissioning else {})
-    avail_o = _merge(state.ops_available, state.ops_maint, state.ops_instructing,
-                     {0: state.ops_training} if state.ops_training else {})
+    avail_v_n = sum(state.vessels_ready)
+    avail_o_n = sum(state.ops_ready)
+    maint_v_n = sum(maint_v)
+    maint_o_n = sum(maint_o)
 
-    avail_v_n = _total(avail_v)
-    avail_o_n = _total(avail_o)
-    maint_v_n = _total(maint_v)
-    maint_o_n = _total(maint_o)
-
-    instructors = ceil_div(ob, params.instruct_capacity) if ob else 0
+    instructors = ceil_div(ob, params.instruct_capacity)
 
     shortfall_v = demand - avail_v_n
     if shortfall_v > 0:
@@ -287,9 +233,9 @@ def step_week(state: FleetState, buys: tuple[int, int], demand: int,
     if shortfall_g > 0:
         raise InfeasibleError(INSUFFICIENT_INSTRUCTORS, week, shortfall_g)
 
-    instructing, avail_o = _take_lowest(avail_o, instructors)
-    use_o, avail_o = _take_lowest(avail_o, 4 * demand)
-    use_v, avail_v = _take_lowest(avail_v, demand)
+    instructing, idle_o = _take_lowest(state.ops_ready, instructors)
+    use_o, idle_o = _take_lowest(idle_o, 4 * demand)
+    use_v, idle_v = _take_lowest(state.vessels_ready, demand)
 
     week_cost = (cb * costs.vessel_price
                  + ob * costs.operator_price
@@ -297,18 +243,9 @@ def step_week(state: FleetState, buys: tuple[int, int], demand: int,
                  + maint_v_n * costs.vessel_maint_price
                  + maint_o_n * costs.operator_maint_price)
 
-    next_state = FleetState(
-        week=week,
-        vessels_available=avail_v,
-        vessels_in_use=use_v,
-        vessels_maint=maint_v,
-        vessels_commissioning=cb,
-        ops_available=avail_o,
-        ops_in_use=use_o,
-        ops_maint=maint_o,
-        ops_instructing=instructing,
-        ops_training=ob,
-    )
+    # next week's ready pools: the idle, the shop, the instructors and the intake
+    next_state = FleetState(week, _add(idle_v, maint_v, (cb,)), use_v,
+                            _add(idle_o, maint_o, instructing, (ob,)), use_o)
     record = WeekRecord(
         week=week,
         vessel_buys=cb,
@@ -376,11 +313,10 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
     reconstructed week by week from the purchase/discard/attrition flows,
     and each week must satisfy demand coverage, operator balance,
     instructor count, maintenance turnover, purchase lead times, the
-    attrition account, and nonnegativity.  costs is accepted for
-    interface symmetry with the rest of the module; the constraint set
-    itself is price-free.
+    attrition account, and nonnegativity.  Each week_cost must equal its
+    counts times the prices, and total_cost the sum of the weekly costs
+    (reported as week 0).
     """
-    del costs
     out: list[Violation] = []
     records = schedule.records
     if len(records) != len(demand):
@@ -409,6 +345,15 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
                 out.append(Violation(week, "NONNEG", f"{name} is negative: {value}"))
         if rec.week_cost < 0:
             out.append(Violation(week, "NONNEG", f"week_cost is negative: {rec.week_cost}"))
+        # cost account: the week's charge follows from its counts
+        want_cost = (rec.vessel_buys * costs.vessel_price
+                     + rec.operator_buys * costs.operator_price
+                     + (rec.instructors + rec.trainees) * costs.training_price
+                     + rec.vessels_maint * costs.vessel_maint_price
+                     + rec.operators_maint * costs.operator_maint_price)
+        if rec.week_cost != want_cost:
+            out.append(Violation(week, "COST_ACCOUNT",
+                                 f"week_cost={rec.week_cost}, counts at the prices give {want_cost}"))
 
         # attrition account: destroyed counts follow from last week's usage
         want_dv = round_half_up(params.attrition_rate * prev_deployed)
@@ -492,6 +437,11 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
 
         prev_own_v = own_v
         prev_deployed = rec.robots_deployed
+
+    weekly = sum((rec.week_cost for rec in records), Decimal(0))
+    if schedule.total_cost != weekly:
+        out.append(Violation(0, "COST_ACCOUNT",
+                             f"total_cost={schedule.total_cost}, weekly costs sum to {weekly}"))
     return out
 
 

@@ -138,6 +138,25 @@ class TestSolveValidate:
         capsys.readouterr()
         assert code == 4
 
+    def test_costs_set_to_one_rejected(self, workdir, capsys):
+        # every week_cost 1 and the total row the week count: the totals
+        # agree, so only the cost account can catch it
+        out = workdir / "run3b"
+        assert run(["solve", "--config", workdir / "config.txt",
+                    "--demand", workdir / "demand.csv",
+                    "--seed", 0, "--out-dir", out] + FAST_SOLVE) == 0
+        sched = out / "schedule.csv"
+        rows = [line.split(",") for line in sched.read_text().splitlines()]
+        for row in rows[1:-1]:
+            row[-1] = "1"
+        rows[-1][-1] = str(len(rows) - 2)
+        sched.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        code = run(["validate", "--config", workdir / "config.txt",
+                    "--demand", workdir / "demand.csv", "--schedule", sched])
+        stdout = capsys.readouterr().out
+        assert code == 4
+        assert "COST_ACCOUNT" in stdout
+
     def test_infeasible_instance_exit_3(self, workdir, capsys):
         save_demand(workdir / "hopeless.csv", DemandSeries((9, 2, 2, 2, 2, 2)))
         code = run(["solve", "--config", workdir / "config.txt",

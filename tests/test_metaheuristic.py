@@ -200,9 +200,8 @@ class TestSolve:
         res = solve(SMALL["demand"], SMALL["params"], COSTS, cfg,
                     AnnealSchedule(initial_temp=50.0, cooling_coeff=0.999,
                                    termination_temp=0.01))
-        # the loop stops at the first trace point past the cap; one more
-        # generation of evals can land before the check
-        assert res.trace.evals_total < 40 + 2 * cfg.population_size
+        # breeding stops the moment the budget is spent
+        assert res.trace.evals_total == 40
 
 
 class TestPlainGA:

@@ -13,6 +13,7 @@ from fleetplan.model import (
     repair_and_simulate, simulate, step_week, total_cost, validate,
     write_schedule_csv, FleetState,
 )
+from oracles import ReferenceShortfall, reference_simulate
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
                    Decimal("10"), Decimal("15"))
@@ -205,6 +206,16 @@ class TestValidator:
         bad = self._corrupt(2, vessels_owned=rec.vessels_owned + 1)
         assert "EQ18_ATTRITION_SUPPLY" in self._codes(bad)
 
+    def test_cost_account_week(self):
+        rec = self.sched.records[2]
+        bad = self._corrupt(2, week_cost=rec.week_cost + 1)
+        assert "COST_ACCOUNT" in self._codes(bad)
+
+    def test_cost_account_total(self):
+        bad = validate(Schedule(self.sched.records, Decimal(0)), self.demand,
+                       self.params, COSTS)
+        assert [(v.week, v.constraint) for v in bad] == [(0, "COST_ACCOUNT")]
+
     def test_nonneg(self):
         bad = self._corrupt(1, vessel_discards=-1)
         assert "NONNEG" in self._codes(bad)
@@ -294,6 +305,49 @@ class TestRepair:
         # repair must never touch a plan's feasible prefix semantics:
         # the result simulates cleanly end to end
         assert sched.horizon == horizon
+
+
+class TestReferenceSimulator:
+    """simulate and repair_and_simulate against the per-unit reference."""
+
+    def _check(self, plan, demand, p, costs):
+        try:
+            want, want_total = reference_simulate(plan, demand, p, costs)
+        except ReferenceShortfall as ref:
+            with pytest.raises(InfeasibleError) as err:
+                simulate(plan, demand, p, costs)
+            assert (err.value.week, err.value.code, err.value.shortfall) == (
+                ref.week, ref.code, ref.shortfall)
+            return False
+        sched = simulate(plan, demand, p, costs)
+        assert [dataclasses.asdict(r) for r in sched.records] == want
+        assert sched.total_cost == want_total
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_simulate_matches_reference(self, data):
+        # prices as low as 1 make some units discard on their first
+        # maintenance week; as high as 60 let wear pile up
+        costs = CostParams(*(data.draw(st.integers(1, 60)) for _ in range(5)))
+        horizon = data.draw(st.integers(1, 12))
+        counts = st.lists(st.integers(0, 4), min_size=horizon, max_size=horizon)
+        demand = DemandSeries(tuple(data.draw(counts)))
+        p = FleetParams(instruct_capacity=data.draw(st.integers(1, 6)),
+                        attrition_rate=Decimal(data.draw(st.sampled_from(["0", "0.1", "0.15",
+                                                                         "0.5"]))),
+                        initial_vessels=data.draw(st.integers(0, 8)),
+                        initial_operators=data.draw(st.integers(0, 36)), horizon=horizon)
+        plan = ProcurementPlan(
+            tuple(data.draw(st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))),
+            tuple(data.draw(st.lists(st.integers(0, 8), min_size=horizon, max_size=horizon))))
+        self._check(plan, demand, p, costs)
+        try:
+            fixed, sched = repair_and_simulate(plan, demand, p, costs)
+        except UnrepairableError:
+            return
+        assert self._check(fixed, demand, p, costs)
+        assert sched == simulate(fixed, demand, p, costs)
 
 
 class TestScheduleCSV:
