@@ -25,9 +25,8 @@ import numpy as np
 from . import __version__
 from .domain import (ConfigError, CostParams, DemandSeries, FleetParams,
                      gen_demand, load_config, load_demand, save_demand)
-from .forecast import (ArimaOrder, DegenerateSeriesError, LengthMismatchError,
-                       NoninvertibleMAError, NumericalBreakdownError,
-                       SeriesTooShortError, acf, extend_demand, pacf,
+from .forecast import (ArimaOrder, DegenerateSeriesError, NoninvertibleMAError,
+                       NumericalBreakdownError, acf, extend_demand, pacf,
                        r_squared, rls_fit, whiteness_check,
                        write_diagnostics_csv, write_forecast_csv)
 from .greedy import UnseedableError
@@ -240,6 +239,8 @@ def cmd_forecast(args) -> int:
 
 def cmd_bench(args) -> int:
     started = time.perf_counter_ns()
+    if args.seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
     costs, fleet, demand = _load_instance(args)
     out_path = Path(args.out)
     out_dir = out_path.parent
@@ -376,17 +377,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (UnseedableError, UnrepairableError, InfeasibleError) as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (NoninvertibleMAError, NumericalBreakdownError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SeriesTooShortError, LengthMismatchError, DegenerateSeriesError,
-            ValueError) as err:
+    except ValueError as err:  # ConfigError and the forecaster's input errors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:

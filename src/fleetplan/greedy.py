@@ -10,10 +10,8 @@ without breaking feasibility or raising cost.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from decimal import Decimal
-from pathlib import Path
 
 from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 from .model import InfeasibleError, UnrepairableError, repair, simulate
@@ -32,10 +30,8 @@ class UnseedableError(Exception):
 class Reduction:
     """One accepted decrement: remove a single unit from (week, kind)."""
 
-    pass_index: int
     week: int
     kind: str  # "vessel" or "operator"
-    amount: int
     cost_after: Decimal
 
 
@@ -69,49 +65,28 @@ def reduce_plan(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams
     Terminates after at most sum(plan entries) passes since every pass
     removes one unit.
     """
+    h = plan.horizon
     current = plan
     current_cost = simulate(current, demand, params, costs).total_cost
     initial_cost = current_cost
     reductions: list[Reduction] = []
     while True:
-        best = None  # (cost, -week, kind_rank, plan)
-        for kind_rank, kind in enumerate(("vessel", "operator")):
-            buys = current.vessel_buys if kind == "vessel" else current.operator_buys
-            for idx, amount in enumerate(buys):
-                if amount == 0:
-                    continue
-                trimmed = list(buys)
-                trimmed[idx] -= 1
-                if kind == "vessel":
-                    trial = ProcurementPlan(tuple(trimmed), current.operator_buys)
-                else:
-                    trial = ProcurementPlan(current.vessel_buys, tuple(trimmed))
-                try:
-                    cost = simulate(trial, demand, params, costs).total_cost
-                except InfeasibleError:
-                    continue
-                if cost >= current_cost:
-                    continue
-                key = (cost, -(idx + 1), kind_rank)
-                if best is None or key < best[0]:
-                    best = (key, trial)
+        genes = current.vessel_buys + current.operator_buys
+        best = None  # ((cost, -week, kind), plan); kind 0 is vessels
+        for i, amount in enumerate(genes):
+            if amount == 0:
+                continue
+            trimmed = genes[:i] + (amount - 1,) + genes[i + 1:]
+            trial = ProcurementPlan(trimmed[:h], trimmed[h:])
+            try:
+                cost = simulate(trial, demand, params, costs).total_cost
+            except InfeasibleError:
+                continue
+            key = (cost, -(i % h + 1), i // h)
+            if cost < current_cost and (best is None or key < best[0]):
+                best = (key, trial)
         if best is None:
             break
-        (cost, neg_week, kind_rank), current = (best[0], best[1])
-        current_cost = cost
-        reductions.append(Reduction(
-            pass_index=len(reductions) + 1,
-            week=-neg_week,
-            kind="vessel" if kind_rank == 0 else "operator",
-            amount=1,
-            cost_after=cost,
-        ))
+        (current_cost, neg_week, kind), current = best
+        reductions.append(Reduction(-neg_week, ("vessel", "operator")[kind], current_cost))
     return current, GreedyTrace(initial_cost, current_cost, tuple(reductions))
-
-
-def write_greedy_trace_csv(path: str | Path, trace: GreedyTrace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pass", "week", "kind", "amount", "cost_after"])
-        for r in trace.reductions:
-            writer.writerow([r.pass_index, r.week, r.kind, r.amount, r.cost_after])

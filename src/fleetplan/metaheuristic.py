@@ -143,8 +143,9 @@ def crossover(a: ProcurementPlan, b: ProcurementPlan, rng: Random,
             ProcurementPlan(tuple(bv), tuple(bo)))
 
 
-def _mutate_with_magnitude(plan: ProcurementPlan, magnitude: int,
-                           config: SolverConfig, rng: Random) -> ProcurementPlan:
+def mutate(plan: ProcurementPlan, magnitude: int, config: SolverConfig,
+           rng: Random) -> ProcurementPlan:
+    """Per-gene jitter of up to +-magnitude units, floored at zero."""
     genes = list(plan.vessel_buys) + list(plan.operator_buys)
     for i in range(len(genes)):
         if rng.random() < config.base_mutation_rate:
@@ -154,13 +155,8 @@ def _mutate_with_magnitude(plan: ProcurementPlan, magnitude: int,
 
 
 def mutation_magnitude(temperature: float, config: SolverConfig) -> int:
+    """Mutation step size: scales with temperature, floor at 1."""
     return max(1, round_half_up(config.mutation_magnitude_per_temp * temperature))
-
-
-def mutate(plan: ProcurementPlan, temperature: float, config: SolverConfig,
-           rng: Random) -> ProcurementPlan:
-    """Per-gene jitter; step size scales with temperature, floor at 1."""
-    return _mutate_with_magnitude(plan, mutation_magnitude(temperature, config), config, rng)
 
 
 class _Evaluator:
@@ -237,7 +233,7 @@ def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
     while len(nxt) < config.population_size:
         pa, pb = roulette_select(plans, costs_, rng)
         for child in crossover(pa, pb, rng, config.crossover_rate):
-            child = _mutate_with_magnitude(child, magnitude, config, rng)
+            child = mutate(child, magnitude, config, rng)
             got = evaluate.try_call(child)
             if got is not None and len(nxt) < config.population_size:
                 nxt.append(got)
@@ -313,8 +309,9 @@ def solve(demand: DemandSeries, params: FleetParams, costs: CostParams,
     if use_greedy_seed:
         seeded = seed_plan(demand, params, costs)
         seeded, _ = reduce_plan(seeded, demand, params, costs)
+        magnitude = mutation_magnitude(schedule.initial_temp, config)
         population = _populate([evaluate(seeded)],
-                               lambda: mutate(seeded, schedule.initial_temp, config, rng),
+                               lambda: mutate(seeded, magnitude, config, rng),
                                config, evaluate)
     else:
         population = _populate([], lambda: _random_plan(len(demand), demand, rng),

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from itertools import zip_longest
 from pathlib import Path
 
@@ -43,6 +43,7 @@ VIOLATION_CODES = frozenset({
     "EQ13_COMMISSIONING",
     "EQ18_ATTRITION_SUPPLY",
     "NONNEG",
+    "WEEK_INDEX",
 })
 
 INSUFFICIENT_VESSELS = "INSUFFICIENT_VESSELS"
@@ -151,14 +152,17 @@ class WeekRecord:
     operators_owned: int | None = None
 
 
+# the schedule CSV's columns, in order: every WeekRecord field but ownership
+SCHEDULE_HEADER = ["week", "vessel_buys", "operator_buys", "vessel_discards",
+                   "operator_discards", "vessels_destroyed", "operators_destroyed",
+                   "vessels_maint", "operators_maint", "instructors", "trainees",
+                   "robots_deployed", "week_cost"]
+
+
 @dataclass(frozen=True)
 class Schedule:
     records: tuple[WeekRecord, ...]
     total_cost: Decimal
-
-    @property
-    def horizon(self) -> int:
-        return len(self.records)
 
 
 def discard_vessel(maint_weeks: int, costs: CostParams) -> bool:
@@ -286,24 +290,6 @@ def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
     return Schedule(tuple(records), total)
 
 
-def total_cost(schedule: Schedule, costs: CostParams) -> Decimal:
-    """Recompute cost from aggregate schedule counts.
-
-    Equals the sum of the weekly costs exactly; integer counts times
-    Decimal prices make both routes exact.
-    """
-    sum_cb = sum(r.vessel_buys for r in schedule.records)
-    sum_ob = sum(r.operator_buys for r in schedule.records)
-    sum_train = sum(r.instructors + r.trainees for r in schedule.records)
-    sum_vm = sum(r.vessels_maint for r in schedule.records)
-    sum_om = sum(r.operators_maint for r in schedule.records)
-    return (sum_cb * costs.vessel_price
-            + sum_ob * costs.operator_price
-            + sum_train * costs.training_price
-            + sum_vm * costs.vessel_maint_price
-            + sum_om * costs.operator_maint_price)
-
-
 def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
              costs: CostParams) -> list[Violation]:
     """Check a schedule against the constraint set, independently of the
@@ -311,11 +297,11 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
 
     Works purely from the week records plus initial stock: ownership is
     reconstructed week by week from the purchase/discard/attrition flows,
-    and each week must satisfy demand coverage, operator balance,
-    instructor count, maintenance turnover, purchase lead times, the
-    attrition account, and nonnegativity.  Each week_cost must equal its
-    counts times the prices, and total_cost the sum of the weekly costs
-    (reported as week 0).
+    and each week must carry its own number and satisfy demand coverage,
+    operator balance, instructor count, maintenance turnover, purchase
+    lead times, the attrition account, and nonnegativity.  Each week_cost
+    must equal its counts times the prices, and total_cost the sum of the
+    weekly costs (reported as week 0).
     """
     out: list[Violation] = []
     records = schedule.records
@@ -332,19 +318,12 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
         week = i + 1
         r_i = demand[i]
 
-        counts = {
-            "vessel_buys": rec.vessel_buys, "operator_buys": rec.operator_buys,
-            "vessel_discards": rec.vessel_discards, "operator_discards": rec.operator_discards,
-            "vessels_destroyed": rec.vessels_destroyed, "operators_destroyed": rec.operators_destroyed,
-            "vessels_maint": rec.vessels_maint, "operators_maint": rec.operators_maint,
-            "instructors": rec.instructors, "trainees": rec.trainees,
-            "robots_deployed": rec.robots_deployed,
-        }
-        for name, value in counts.items():
+        if rec.week != week:
+            out.append(Violation(week, "WEEK_INDEX", f"record {week} says week {rec.week}"))
+        for name in SCHEDULE_HEADER[1:]:
+            value = getattr(rec, name)
             if value < 0:
                 out.append(Violation(week, "NONNEG", f"{name} is negative: {value}"))
-        if rec.week_cost < 0:
-            out.append(Violation(week, "NONNEG", f"week_cost is negative: {rec.week_cost}"))
         # cost account: the week's charge follows from its counts
         want_cost = (rec.vessel_buys * costs.vessel_price
                      + rec.operator_buys * costs.operator_price
@@ -550,27 +529,26 @@ def repair(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
     return fixed
 
 
-SCHEDULE_HEADER = ["week", "vessel_buys", "operator_buys", "vessel_discards",
-                   "operator_discards", "vessels_destroyed", "operators_destroyed",
-                   "vessels_maint", "operators_maint", "instructors", "trainees",
-                   "robots_deployed", "week_cost"]
-
-
 def write_schedule_csv(path: str | Path, schedule: Schedule) -> None:
     """Schedule CSV: one row per week plus a trailing totals row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCHEDULE_HEADER)
-        sums = [0] * 11
         for r in schedule.records:
-            row = [r.week, r.vessel_buys, r.operator_buys, r.vessel_discards,
-                   r.operator_discards, r.vessels_destroyed, r.operators_destroyed,
-                   r.vessels_maint, r.operators_maint, r.instructors, r.trainees,
-                   r.robots_deployed, r.week_cost]
-            for k in range(11):
-                sums[k] += row[k + 1]
-            writer.writerow(row)
+            writer.writerow([getattr(r, name) for name in SCHEDULE_HEADER])
+        sums = [sum(getattr(r, name) for r in schedule.records) for name in SCHEDULE_HEADER[1:-1]]
         writer.writerow(["total", *sums, schedule.total_cost])
+
+
+def _finite_decimal(cell: str) -> Decimal:
+    """Decimal(cell), or ValueError unless it is a finite number."""
+    try:
+        value = Decimal(cell)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {cell!r}") from None
+    if not value.is_finite():
+        raise ValueError(f"not a finite number: {cell!r}")
+    return value
 
 
 def read_schedule_csv(path: str | Path) -> Schedule:
@@ -591,21 +569,24 @@ def read_schedule_csv(path: str | Path) -> Schedule:
                 continue
             if row[0] == "total":
                 try:
-                    total = Decimal(row[-1])
-                except InvalidOperation:
+                    total = _finite_decimal(row[-1])
+                except ValueError:
                     raise ScheduleFormatError(f"bad total cost: {row[-1]!r}") from None
                 break
             if len(row) != len(SCHEDULE_HEADER):
                 raise ScheduleFormatError(f"malformed schedule row: {row}")
             try:
                 counts = [int(v) for v in row[:-1]]
-                cost = Decimal(row[-1])
-            except (ValueError, InvalidOperation):
+                cost = _finite_decimal(row[-1])
+            except ValueError:
                 raise ScheduleFormatError(f"malformed schedule row: {row}") from None
             records.append(WeekRecord(*counts, cost))
     if total is None:
         raise ScheduleFormatError("schedule file missing totals row")
-    check = sum((r.week_cost for r in records), Decimal(0))
+    try:
+        check = sum((r.week_cost for r in records), Decimal(0))
+    except Overflow:
+        raise ScheduleFormatError("weekly costs overflow the decimal range") from None
     if check != total:
         raise ScheduleFormatError(f"totals row says {total}, weekly costs sum to {check}")
     return Schedule(tuple(records), total)

@@ -157,6 +157,36 @@ class TestSolveValidate:
         assert code == 4
         assert "COST_ACCOUNT" in stdout
 
+    def test_renumbered_weeks_rejected(self, workdir, capsys):
+        out = workdir / "run3c"
+        assert run(["solve", "--config", workdir / "config.txt",
+                    "--demand", workdir / "demand.csv",
+                    "--seed", 0, "--out-dir", out] + FAST_SOLVE) == 0
+        sched = out / "schedule.csv"
+        rows = [line.split(",") for line in sched.read_text().splitlines()]
+        for row in rows[1:-1]:
+            row[0] = "99"
+        sched.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        code = run(["validate", "--config", workdir / "config.txt",
+                    "--demand", workdir / "demand.csv", "--schedule", sched])
+        stdout = capsys.readouterr().out
+        assert code == 4
+        assert "WEEK_INDEX" in stdout
+
+    def test_snan_cost_rejected(self, workdir, capsys):
+        out = workdir / "run3d"
+        assert run(["solve", "--config", workdir / "config.txt",
+                    "--demand", workdir / "demand.csv",
+                    "--seed", 0, "--out-dir", out] + FAST_SOLVE) == 0
+        sched = out / "schedule.csv"
+        rows = [line.split(",") for line in sched.read_text().splitlines()]
+        rows[2][-1] = "sNaN"
+        sched.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        code = run(["validate", "--config", workdir / "config.txt",
+                    "--demand", workdir / "demand.csv", "--schedule", sched])
+        assert code == 4
+        assert "schedule rejected" in capsys.readouterr().err
+
     def test_infeasible_instance_exit_3(self, workdir, capsys):
         save_demand(workdir / "hopeless.csv", DemandSeries((9, 2, 2, 2, 2, 2)))
         code = run(["solve", "--config", workdir / "config.txt",
@@ -283,6 +313,15 @@ class TestBench:
         for seed in (0, 1):
             for stem in (f"trace_hybrid_seed{seed}.csv", f"trace_plain_seed{seed}.csv"):
                 assert (out_csv.parent / stem).read_bytes() == (out2.parent / stem).read_bytes()
+
+
+    def test_zero_seeds_rejected_up_front(self, workdir, capsys):
+        out_csv = workdir / "bench0" / "results.csv"
+        code = run(["bench", "--config", workdir / "config.txt",
+                    "--demand", workdir / "demand.csv", "--seeds", 0, "--out", out_csv])
+        assert code == 2
+        assert "seeds must be >= 1" in capsys.readouterr().err
+        assert not out_csv.parent.exists()
 
 
 class TestConsoleScript:

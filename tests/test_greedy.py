@@ -5,9 +5,7 @@ from decimal import Decimal
 import pytest
 
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
-from fleetplan.greedy import (
-    GreedyTrace, UnseedableError, reduce_plan, seed_plan, write_greedy_trace_csv,
-)
+from fleetplan.greedy import UnseedableError, reduce_plan, seed_plan
 from fleetplan.model import simulate, validate
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
@@ -90,15 +88,3 @@ def test_reduce_monotone_and_feasible():
     sched = simulate(slim, demand, p, COSTS)
     assert validate(sched, demand, p, COSTS) == []
     assert sched.total_cost == trace.final_cost
-
-
-def test_trace_csv(tmp_path):
-    p = params(2, 8, horizon=3)
-    demand = DemandSeries((1, 1, 1))
-    _, trace = reduce_plan(ProcurementPlan((1, 0, 0), (0, 0, 0)), demand, p, COSTS)
-    path = tmp_path / "greedy.csv"
-    write_greedy_trace_csv(path, trace)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "pass,week,kind,amount,cost_after"
-    assert len(lines) == 1 + trace.passes
-    assert isinstance(trace, GreedyTrace)

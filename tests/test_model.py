@@ -10,7 +10,7 @@ from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementP
 from fleetplan.model import (
     InfeasibleError, Schedule, ScheduleFormatError, UnrepairableError, WeekRecord,
     discard_operator, discard_vessel, read_schedule_csv, repair,
-    repair_and_simulate, simulate, step_week, total_cost, validate,
+    repair_and_simulate, simulate, step_week, validate,
     write_schedule_csv, FleetState,
 )
 from oracles import ReferenceShortfall, reference_simulate
@@ -22,6 +22,25 @@ COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
 def params(iv, io, g=10, k="0", horizon=1):
     return FleetParams(instruct_capacity=g, attrition_rate=Decimal(k),
                        initial_vessels=iv, initial_operators=io, horizon=horizon)
+
+
+def draw_instance(data):
+    """A random (plan, demand, params, costs); many plans are infeasible."""
+    # prices as low as 1 make some units discard on their first
+    # maintenance week; as high as 60 let wear pile up
+    costs = CostParams(*(data.draw(st.integers(1, 60)) for _ in range(5)))
+    horizon = data.draw(st.integers(1, 12))
+    counts = st.lists(st.integers(0, 4), min_size=horizon, max_size=horizon)
+    demand = DemandSeries(tuple(data.draw(counts)))
+    p = FleetParams(instruct_capacity=data.draw(st.integers(1, 6)),
+                    attrition_rate=Decimal(data.draw(st.sampled_from(["0", "0.1", "0.15",
+                                                                     "0.5"]))),
+                    initial_vessels=data.draw(st.integers(0, 8)),
+                    initial_operators=data.draw(st.integers(0, 36)), horizon=horizon)
+    plan = ProcurementPlan(
+        tuple(data.draw(st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))),
+        tuple(data.draw(st.lists(st.integers(0, 8), min_size=horizon, max_size=horizon))))
+    return plan, demand, p, costs
 
 
 class TestDiscardRules:
@@ -119,16 +138,20 @@ class TestCostAggregation:
                          vessels_maint=3, operators_maint=5,
                          instructors=2, trainees=8, robots_deployed=0,
                          week_cost=Decimal("895"))
-        sched = Schedule((rec,), Decimal("895"))
         # 2*100 + 8*50 + (2+8)*20 + 3*15 + 5*10
-        assert total_cost(sched, COSTS) == Decimal("895")
+        p = params(3, 7, g=4)
+        assert validate(Schedule((rec,), Decimal("895")), DemandSeries((0,)), p, COSTS) == []
+        off = dataclasses.replace(rec, week_cost=Decimal("894"))
+        bad = validate(Schedule((off,), Decimal("894")), DemandSeries((0,)), p, COSTS)
+        assert [v.constraint for v in bad] == ["COST_ACCOUNT"]
 
     def test_aggregate_equals_weekly_sum(self):
         p = params(3, 14, k="0.1", horizon=8)
         demand = DemandSeries((2, 3, 3, 2, 3, 3, 2, 2))
         plan = repair(ProcurementPlan.zero(8), demand, p, COSTS)
         sched = simulate(plan, demand, p, COSTS)
-        assert total_cost(sched, COSTS) == sched.total_cost
+        assert sched.total_cost == sum(r.week_cost for r in sched.records)
+        assert validate(sched, demand, p, COSTS) == []
 
 
 class TestValidator:
@@ -220,6 +243,28 @@ class TestValidator:
         bad = self._corrupt(1, vessel_discards=-1)
         assert "NONNEG" in self._codes(bad)
 
+    def test_week_index(self):
+        bad = self._corrupt(3, week=99)
+        assert [(v.week, v.constraint) for v in validate(
+            bad, self.demand, self.params, COSTS)] == [(4, "WEEK_INDEX")]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_one_unit_tamper_detected(self, data):
+        plan, demand, p, costs = draw_instance(data)
+        try:
+            _, sched = repair_and_simulate(plan, demand, p, costs)
+        except UnrepairableError:
+            return
+        for i, rec in enumerate(sched.records):
+            for field in dataclasses.fields(WeekRecord):
+                for step in (1, -1):
+                    recs = list(sched.records)
+                    recs[i] = dataclasses.replace(
+                        rec, **{field.name: getattr(rec, field.name) + step})
+                    tampered = Schedule(tuple(recs), sched.total_cost)
+                    assert validate(tampered, demand, p, costs), (i, field.name, step)
+
     def test_csv_round_trip_still_validates(self, tmp_path):
         path = tmp_path / "schedule.csv"
         write_schedule_csv(path, self.sched)
@@ -304,7 +349,7 @@ class TestRepair:
         assert validate(sched, demand, p, COSTS) == []
         # repair must never touch a plan's feasible prefix semantics:
         # the result simulates cleanly end to end
-        assert sched.horizon == horizon
+        assert len(sched.records) == horizon
 
 
 class TestReferenceSimulator:
@@ -327,20 +372,7 @@ class TestReferenceSimulator:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_simulate_matches_reference(self, data):
-        # prices as low as 1 make some units discard on their first
-        # maintenance week; as high as 60 let wear pile up
-        costs = CostParams(*(data.draw(st.integers(1, 60)) for _ in range(5)))
-        horizon = data.draw(st.integers(1, 12))
-        counts = st.lists(st.integers(0, 4), min_size=horizon, max_size=horizon)
-        demand = DemandSeries(tuple(data.draw(counts)))
-        p = FleetParams(instruct_capacity=data.draw(st.integers(1, 6)),
-                        attrition_rate=Decimal(data.draw(st.sampled_from(["0", "0.1", "0.15",
-                                                                         "0.5"]))),
-                        initial_vessels=data.draw(st.integers(0, 8)),
-                        initial_operators=data.draw(st.integers(0, 36)), horizon=horizon)
-        plan = ProcurementPlan(
-            tuple(data.draw(st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))),
-            tuple(data.draw(st.lists(st.integers(0, 8), min_size=horizon, max_size=horizon))))
+        plan, demand, p, costs = draw_instance(data)
         self._check(plan, demand, p, costs)
         try:
             fixed, sched = repair_and_simulate(plan, demand, p, costs)
@@ -401,4 +433,25 @@ class TestScheduleCSV:
         lines[1] = lines[1].rsplit(",", 1)[0] + ",not-money"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ScheduleFormatError, match="malformed"):
+            read_schedule_csv(path)
+
+    @pytest.mark.parametrize("cell", ["NaN", "sNaN", "Infinity", "-Infinity"])
+    def test_non_finite_cost(self, tmp_path, cell):
+        # the week-1 cost and the total carry the same value, so the totals check
+        # alone need not stop it
+        path = tmp_path / "schedule.csv"
+        write_schedule_csv(path, self._schedule())
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[1][-1] = rows[-1][-1] = cell
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        with pytest.raises(ScheduleFormatError):
+            read_schedule_csv(path)
+
+    def test_cost_overflow(self, tmp_path):
+        path = tmp_path / "schedule.csv"
+        write_schedule_csv(path, self._schedule())
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[1][-1] = rows[2][-1] = "9E+999999"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        with pytest.raises(ScheduleFormatError, match="overflow"):
             read_schedule_csv(path)
