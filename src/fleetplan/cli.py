@@ -49,15 +49,12 @@ SCENARIOS = {
 }
 
 
-def _apply_scenario(fleet: FleetParams, name: str | None) -> FleetParams:
-    return dataclasses.replace(fleet, **SCENARIOS[name]) if name else fleet
-
-
 def _load_instance(args) -> tuple[CostParams, FleetParams, DemandSeries]:
     """Prices, fleet under the scenario, and a demand series that covers
     the config's horizon."""
     costs, fleet = load_config(args.config)
-    fleet = _apply_scenario(fleet, args.scenario)
+    if args.scenario:
+        fleet = dataclasses.replace(fleet, **SCENARIOS[args.scenario])
     demand = load_demand(args.demand)
     if len(demand) != fleet.horizon:
         raise ConfigError(
@@ -65,36 +62,46 @@ def _load_instance(args) -> tuple[CostParams, FleetParams, DemandSeries]:
     return costs, fleet, demand
 
 
-def write_manifest(path: Path, entries: dict) -> None:
+def _ms_since(started_ns: int) -> int:
+    return (time.perf_counter_ns() - started_ns) // 1_000_000
+
+
+def write_manifest(out_dir: Path, started_ns: int, entries: dict) -> None:
+    """Write out_dir/run.manifest: the command's entries plus the output
+    directory, the tool version and the wall time since started_ns."""
+    entries = {**entries, "output_dir": out_dir, "tool_version": __version__,
+               "wall_ms": _ms_since(started_ns)}
     lines = [f"{k} = {v}" for k, v in entries.items()]
-    path.write_text("\n".join(lines) + "\n")
+    (out_dir / "run.manifest").write_text("\n".join(lines) + "\n")
 
 
-def _solver_config(args, seed: int) -> SolverConfig:
-    return SolverConfig(
-        population_size=args.population,
-        crossover_rate=args.crossover_rate,
-        base_mutation_rate=args.mutation_rate,
-        mutation_magnitude_per_temp=args.mutation_magnitude,
-        rng_seed=seed,
-        max_iterations=args.max_evals,
-    )
-
-
-def _anneal_schedule(args) -> AnnealSchedule:
-    return AnnealSchedule(initial_temp=args.t0, cooling_coeff=args.cooling,
-                          termination_temp=args.termination)
+# Each solver flag's dest and the settings field it sets.  A flag takes
+# its type and default from that field, so every default is written once,
+# in its dataclass; the manifests list the settings under these dests.
+_SOLVER_FLAGS = {
+    "population": (SolverConfig, "population_size"),
+    "t0": (AnnealSchedule, "initial_temp"),
+    "cooling": (AnnealSchedule, "cooling_coeff"),
+    "termination": (AnnealSchedule, "termination_temp"),
+    "crossover_rate": (SolverConfig, "crossover_rate"),
+    "mutation_rate": (SolverConfig, "base_mutation_rate"),
+    "mutation_magnitude": (SolverConfig, "mutation_magnitude_per_temp"),
+    "max_evals": (SolverConfig, "max_iterations"),
+}
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--population", type=int, default=60)
-    sub.add_argument("--t0", type=float, default=100.0)
-    sub.add_argument("--cooling", type=float, default=0.98)
-    sub.add_argument("--termination", type=float, default=0.01)
-    sub.add_argument("--crossover-rate", type=float, default=0.8)
-    sub.add_argument("--mutation-rate", type=float, default=0.1)
-    sub.add_argument("--mutation-magnitude", type=float, default=0.05)
-    sub.add_argument("--max-evals", type=int, default=200_000)
+    for dest, (cls, name) in _SOLVER_FLAGS.items():
+        default = getattr(cls, name)
+        sub.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+
+
+def _solver_settings(args, seed: int) -> tuple[SolverConfig, AnnealSchedule]:
+    """The settings the solver flags give; each dataclass checks its own."""
+    values = {SolverConfig: {"rng_seed": seed}, AnnealSchedule: {}}
+    for dest, (cls, name) in _SOLVER_FLAGS.items():
+        values[cls][name] = getattr(args, dest)
+    return SolverConfig(**values[SolverConfig]), AnnealSchedule(**values[AnnealSchedule])
 
 
 def cmd_gen_demand(args) -> int:
@@ -107,37 +114,24 @@ def cmd_gen_demand(args) -> int:
 def cmd_solve(args) -> int:
     started = time.perf_counter_ns()
     costs, fleet, demand = _load_instance(args)
-    config = _solver_config(args, args.seed)
-    schedule_prog = _anneal_schedule(args)
+    config, schedule_prog = _solver_settings(args, args.seed)
+    # made before the search, so an unwritable path fails before a long run
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = solve(demand, fleet, costs, config, schedule_prog,
-                   use_greedy_seed=not args.no_greedy_seed)
+    result = solve(demand, fleet, costs, config, schedule_prog)
     write_schedule_csv(out_dir / "schedule.csv", result.schedule)
     write_trace_csv(out_dir / "trace.csv", result.trace)
-    wall_ms = (time.perf_counter_ns() - started) // 1_000_000
-    write_manifest(out_dir / "run.manifest", {
+    write_manifest(out_dir, started, {
         "command": "solve",
         "config_path": args.config,
         "demand_path": args.demand,
         "rng_seed": args.seed,
-        "output_dir": out_dir,
-        "tool_version": __version__,
         "scenario": args.scenario or "",
-        "population": config.population_size,
-        "t0": schedule_prog.initial_temp,
-        "cooling": schedule_prog.cooling_coeff,
-        "termination": schedule_prog.termination_temp,
-        "crossover_rate": config.crossover_rate,
-        "mutation_rate": config.base_mutation_rate,
-        "mutation_magnitude": config.mutation_magnitude_per_temp,
-        "max_evals": config.max_iterations,
-        "greedy_seed": not args.no_greedy_seed,
+        **{dest: getattr(args, dest) for dest in _SOLVER_FLAGS},
         "best_cost": result.schedule.total_cost,
         "evals_total": result.trace.evals_total,
         "evals_to_best": result.trace.evals_to_best,
-        "wall_ms": wall_ms,
     })
     print(f"best cost {result.schedule.total_cost}, reached after "
           f"{result.trace.evals_to_best} iterations "
@@ -146,9 +140,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    costs, fleet = load_config(args.config)
-    fleet = _apply_scenario(fleet, args.scenario)
-    demand = load_demand(args.demand)
+    costs, fleet, demand = _load_instance(args)
     try:
         schedule = read_schedule_csv(args.schedule)
     except ScheduleFormatError as err:
@@ -192,8 +184,6 @@ def cmd_forecast(args) -> int:
     order = _parse_order(args.order)
     if args.horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {args.horizon}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     model, resid = rls_fit(demand.values, order, args.forgetting)
     forecast_series = extend_demand(model, demand, args.horizon)
@@ -212,17 +202,16 @@ def cmd_forecast(args) -> int:
     except DegenerateSeriesError:
         r2 = float("nan")
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_forecast_csv(out_dir / "forecast.csv", demand, forecast_series)
     write_diagnostics_csv(out_dir / "diagnostics.csv", acf_vals, pacf_vals,
                           q_stat, max_lag - n_params, white, r2)
-    wall_ms = (time.perf_counter_ns() - started) // 1_000_000
-    write_manifest(out_dir / "run.manifest", {
+    write_manifest(out_dir, started, {
         "command": "forecast",
         "config_path": "",
         "demand_path": args.demand,
         "rng_seed": "",
-        "output_dir": out_dir,
-        "tool_version": __version__,
         "order": f"{order.p},{order.d},{order.q}",
         "horizon": args.horizon,
         "lambda": args.forgetting,
@@ -230,7 +219,6 @@ def cmd_forecast(args) -> int:
         "q_statistic": repr(q_stat),
         "white": str(white).lower(),
         "r_squared": repr(r2),
-        "wall_ms": wall_ms,
     })
     print(f"forecast {args.horizon} weeks; residual Q={q_stat:.3f} "
           f"(white={str(white).lower()}), r_squared={r2:.4f}; outputs in {out_dir}")
@@ -242,24 +230,24 @@ def cmd_bench(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
     costs, fleet, demand = _load_instance(args)
+    base_config, schedule_prog = _solver_settings(args, args.seed_base)
     out_path = Path(args.out)
     out_dir = out_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    schedule_prog = _anneal_schedule(args)
 
     rows = []
     timings = {"hybrid": 0, "plain": 0}
     for seed in range(args.seed_base, args.seed_base + args.seeds):
-        config = _solver_config(args, seed)
+        config = dataclasses.replace(base_config, rng_seed=seed)
         t0 = time.perf_counter_ns()
         hybrid = solve(demand, fleet, costs, config, schedule_prog)
-        timings["hybrid"] += (time.perf_counter_ns() - t0) // 1_000_000
+        timings["hybrid"] += _ms_since(t0)
         # the baseline gets the same evaluation budget the hybrid spent
         plain_config = dataclasses.replace(
             config, max_iterations=max(hybrid.trace.evals_total, config.population_size))
         t0 = time.perf_counter_ns()
         plain = solve_plain_ga(demand, fleet, costs, plain_config)
-        timings["plain"] += (time.perf_counter_ns() - t0) // 1_000_000
+        timings["plain"] += _ms_since(t0)
         rows.append(("hybrid", seed, hybrid.schedule.total_cost,
                      hybrid.trace.evals_to_best))
         rows.append(("plain", seed, plain.schedule.total_cost,
@@ -283,28 +271,20 @@ def cmd_bench(args) -> int:
         lines.append(f"{method},median,{med_cost},{med_iters},0")
     out_path.write_text("\n".join(lines) + "\n")
 
-    wall_ms = (time.perf_counter_ns() - started) // 1_000_000
-    write_manifest(out_dir / "run.manifest", {
+    write_manifest(out_dir, started, {
         "command": "bench",
         "config_path": args.config,
         "demand_path": args.demand,
         "rng_seed": args.seed_base,
-        "output_dir": out_dir,
-        "tool_version": __version__,
         "scenario": args.scenario or "",
         "seeds": args.seeds,
-        "population": args.population,
-        "t0": args.t0,
-        "cooling": args.cooling,
-        "termination": args.termination,
-        "max_evals": args.max_evals,
+        **{dest: getattr(args, dest) for dest in _SOLVER_FLAGS},
         "hybrid_median_cost": summary["hybrid"][0],
         "hybrid_median_iters": summary["hybrid"][1],
         "plain_median_cost": summary["plain"][0],
         "plain_median_iters": summary["plain"][1],
         "hybrid_wall_ms": timings["hybrid"],
         "plain_wall_ms": timings["plain"],
-        "wall_ms": wall_ms,
     })
     print(f"hybrid median cost {summary['hybrid'][0]} at {summary['hybrid'][1]} evals; "
           f"plain median cost {summary['plain'][0]} at {summary['plain'][1]} evals "
@@ -333,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out-dir", required=True)
     s.add_argument("--scenario", choices=sorted(SCENARIOS))
-    s.add_argument("--no-greedy-seed", action="store_true")
     _add_solver_flags(s)
     s.set_defaults(func=cmd_solve)
 

@@ -33,6 +33,11 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+# Prices must lie below this, so a week's cost (counts times prices,
+# summed) stays far inside Decimal's exponent range.
+PRICE_CEILING = Decimal("1E+18")
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Unit prices: purchase, training, and weekly maintenance."""
@@ -51,6 +56,8 @@ class CostParams:
                 v = getattr(self, f.name)
             if not v.is_finite() or v <= 0:
                 raise ValueError(f"{f.name} must be a positive finite amount, got {v}")
+            if v >= PRICE_CEILING:
+                raise ValueError(f"{f.name} must be below {PRICE_CEILING}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -244,6 +251,9 @@ def gen_demand(horizon: int, seed: int, level: float, volatility: float) -> Dema
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    for name, value in (("level", level), ("volatility", volatility)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if volatility < 0:
@@ -252,9 +262,12 @@ def gen_demand(horizon: int, seed: int, level: float, volatility: float) -> Dema
     scale = volatility * level
     x = float(level)
     out = []
-    for _ in range(horizon):
+    for week in range(1, horizon + 1):
         shock = (sum(rng.random() for _ in range(12)) - 6.0) * scale
         x = x + 0.3 * (level - x) + shock
+        if not math.isfinite(x):
+            raise ValueError(f"demand walk left the finite range in week {week}; "
+                             f"level {level} and volatility {volatility} are too large")
         if x < 0.0:
             x = 0.0
         out.append(math.floor(x + 0.5))

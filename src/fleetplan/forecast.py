@@ -183,12 +183,31 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
         if not (np.all(np.isfinite(theta)) and np.isfinite(resid[t])):
             raise NumericalBreakdownError(f"estimate lost finiteness at sample {t}")
 
-    model = ArimaModel(order,
-                       tuple(theta[:order.p]),
-                       tuple(theta[order.p:]),
-                       mean,
-                       _variance(resid))
+    ma, noise_variance = _flip_inside_ma_roots(theta[order.p:], _variance(resid))
+    model = ArimaModel(order, tuple(theta[:order.p]), tuple(ma), mean, noise_variance)
     return model, resid
+
+
+def _flip_inside_ma_roots(ma: np.ndarray, noise_variance: float,
+                          ) -> tuple[np.ndarray, float]:
+    """Move each root z of C(B) strictly inside the unit circle to 1/conj(z).
+
+    Scaling the noise variance by |z|^-2 per flipped root keeps the MA
+    part's autocovariances, so the process is the same while the
+    predictors, which need an invertible C, can run (Brockwell & Davis,
+    Time Series: Theory and Methods, on invertibility).  Fits with no root
+    inside come back untouched; roots on the circle are left to raise.
+    """
+    c = np.concatenate(([1.0], ma))
+    roots = np.roots(c[::-1])
+    inside = np.abs(roots) < 1.0
+    if not np.any(inside):
+        return ma, noise_variance
+    roots = np.where(inside, 1.0 / np.conj(roots), roots)
+    flipped = np.real(np.poly(roots))[::-1]  # constant term first
+    out = np.zeros(len(ma))
+    out[:len(flipped) - 1] = flipped[1:] / flipped[0]
+    return out, noise_variance * float(np.prod(np.abs(roots[inside]) ** 2))
 
 
 def _poly_a(model: ArimaModel) -> np.ndarray:

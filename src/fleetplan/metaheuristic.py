@@ -296,8 +296,7 @@ def _search(population: list[tuple[ProcurementPlan, Decimal]],
 
 def solve(demand: DemandSeries, params: FleetParams, costs: CostParams,
           config: SolverConfig = SolverConfig(),
-          schedule: AnnealSchedule = AnnealSchedule(),
-          use_greedy_seed: bool = True) -> SolveResult:
+          schedule: AnnealSchedule = AnnealSchedule()) -> SolveResult:
     """Hybrid search: greedy-seeded population, annealing-driven loop.
 
     Runs until the temperature drops below the termination floor, the
@@ -306,16 +305,12 @@ def solve(demand: DemandSeries, params: FleetParams, costs: CostParams,
     """
     rng = Random(config.rng_seed)
     evaluate = _Evaluator(demand, params, costs)
-    if use_greedy_seed:
-        seeded = seed_plan(demand, params, costs)
-        seeded, _ = reduce_plan(seeded, demand, params, costs)
-        magnitude = mutation_magnitude(schedule.initial_temp, config)
-        population = _populate([evaluate(seeded)],
-                               lambda: mutate(seeded, magnitude, config, rng),
-                               config, evaluate)
-    else:
-        population = _populate([], lambda: _random_plan(len(demand), demand, rng),
-                               config, evaluate)
+    seeded = seed_plan(demand, params, costs)
+    seeded, _ = reduce_plan(seeded, demand, params, costs)
+    magnitude = mutation_magnitude(schedule.initial_temp, config)
+    population = _populate([evaluate(seeded)],
+                           lambda: mutate(seeded, magnitude, config, rng),
+                           config, evaluate)
     return _search(population, schedule, config, rng, evaluate)
 
 

@@ -3,18 +3,23 @@
 import shutil
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fleetplan.cli import main
-from fleetplan.domain import (CostParams, DemandSeries, FleetParams,
+from fleetplan.domain import (CONFIG_KEYS, CostParams, DemandSeries, FleetParams,
                               save_config, save_demand)
 from fleetplan.forecast import NoninvertibleMAError
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
                    Decimal("10"), Decimal("15"))
+FLEET = FleetParams(instruct_capacity=10, attrition_rate=Decimal("0"),
+                    initial_vessels=3, initial_operators=13, horizon=6)
+DEMAND = DemandSeries((2, 3, 2, 3, 2, 2))
 
 FAST_SOLVE = ["--population", "10", "--t0", "20", "--cooling", "0.85",
               "--termination", "0.5", "--max-evals", "3000"]
@@ -22,10 +27,8 @@ FAST_SOLVE = ["--population", "10", "--t0", "20", "--cooling", "0.85",
 
 @pytest.fixture
 def workdir(tmp_path):
-    save_config(tmp_path / "config.txt", COSTS,
-                FleetParams(instruct_capacity=10, attrition_rate=Decimal("0"),
-                            initial_vessels=3, initial_operators=13, horizon=6))
-    save_demand(tmp_path / "demand.csv", DemandSeries((2, 3, 2, 3, 2, 2)))
+    save_config(tmp_path / "config.txt", COSTS, FLEET)
+    save_demand(tmp_path / "demand.csv", DEMAND)
     return tmp_path
 
 
@@ -200,8 +203,11 @@ class TestSolveValidate:
         code = run(["solve", "--config", workdir / "config.txt",
                     "--demand", workdir / "short.csv",
                     "--out-dir", workdir / "run5"] + FAST_SOLVE)
-        capsys.readouterr()
         assert code == 2
+        code = run(["validate", "--config", workdir / "config.txt",
+                    "--demand", workdir / "short.csv", "--schedule", workdir / "none.csv"])
+        assert code == 2
+        assert "config horizon is 6" in capsys.readouterr().err
 
     def test_solve_outputs_byte_identical_across_reruns(self, workdir, capsys):
         out_a, out_b = workdir / "rep_a", workdir / "rep_b"
@@ -315,13 +321,62 @@ class TestBench:
                 assert (out_csv.parent / stem).read_bytes() == (out2.parent / stem).read_bytes()
 
 
-    def test_zero_seeds_rejected_up_front(self, workdir, capsys):
-        out_csv = workdir / "bench0" / "results.csv"
-        code = run(["bench", "--config", workdir / "config.txt",
-                    "--demand", workdir / "demand.csv", "--seeds", 0, "--out", out_csv])
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["bench", "--seeds", 0], "seeds must be >= 1", id="bench-seeds-0"),
+        pytest.param(["bench", "--seeds", 1, "--population", 1],
+                     "population_size must be >= 2", id="bench-population-1"),
+        pytest.param(["bench", "--seeds", 1, "--cooling", 1.5],
+                     "cooling_coeff must lie in (0, 1)", id="bench-cooling-1.5"),
+        pytest.param(["forecast", "--order", "1,0,0", "--horizon", 4, "--lambda", 0.5],
+                     "forgetting factor must lie in (0.9, 1]", id="forecast-lambda-0.5"),
+    ])
+    def test_zero_seeds_rejected_up_front(self, workdir, capsys, argv, message):
+        # a usage error leaves no output directory behind
+        out_dir = workdir / "rejected"
+        outputs = {"bench": ["--config", workdir / "config.txt", "--demand", workdir / "demand.csv",
+                             "--out", out_dir / "results.csv"],
+                   "forecast": ["--demand", workdir / "demand.csv", "--out-dir", out_dir]}
+        code = run(argv + outputs[argv[0]])
         assert code == 2
-        assert "seeds must be >= 1" in capsys.readouterr().err
-        assert not out_csv.parent.exists()
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+class TestFuzzedInputs:
+    """Malformed or extreme input ends in a documented exit code, never a
+    traceback out of main()."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.sampled_from(CONFIG_KEYS),
+           raw=st.one_of(st.sampled_from(["9E+999999", "NaN", "-0", "1E-999999", "sNaN",
+                                          "-Infinity", "1E+18", "999999999999999999.9",
+                                          "0.5", "1e3", "99999999999999999999", ""]),
+                         st.decimals().map(str),
+                         st.integers().map(str),
+                         st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)))
+    @example(key="vessel_price", raw="9E+999999")
+    def test_config_value(self, key, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_config(tmp / "config.txt", COSTS, FLEET)
+            lines = (tmp / "config.txt").read_text().splitlines()
+            (tmp / "config.txt").write_text("\n".join(
+                f"{key} = {raw}" if line.startswith(f"{key} =") else line
+                for line in lines) + "\n")
+            save_demand(tmp / "demand.csv", DEMAND)
+            code = run(["solve", "--config", tmp / "config.txt", "--demand", tmp / "demand.csv",
+                        "--out-dir", tmp / "run", "--population", 4, "--max-evals", 20])
+        assert code in range(6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(level=st.floats(), volatility=st.floats())
+    @example(level=1e308, volatility=float("inf"))
+    @example(level=float("inf"), volatility=0.3)
+    def test_gen_demand_floats(self, level, volatility):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run(["gen-demand", "--horizon", 3, "--seed", 2, f"--level={level!r}",
+                        f"--volatility={volatility!r}", "--out", Path(tmp) / "g.csv"])
+        assert code in range(6)
 
 
 class TestConsoleScript:

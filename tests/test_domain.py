@@ -49,7 +49,8 @@ class TestParams:
         assert c.operator_price == Decimal("50.0")
         assert isinstance(c.training_price, Decimal)
 
-    @pytest.mark.parametrize("bad", [0, -1, "-0.5", float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [0, -1, "-0.5", float("inf"), float("nan"),
+                                     "1E+18", "9E+999999"])
     def test_cost_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             CostParams(bad, 50, 20, 10, 15)
@@ -228,3 +229,9 @@ class TestGenDemand:
             gen_demand(5, 1, -5, 0.1)
         with pytest.raises(ValueError):
             gen_demand(5, 1, 5, -0.1)
+        with pytest.raises(ValueError, match="level must be finite"):
+            gen_demand(5, 1, float("inf"), 0.1)
+        with pytest.raises(ValueError, match="volatility must be finite"):
+            gen_demand(5, 1, 5, float("nan"))
+        with pytest.raises(ValueError, match="left the finite range"):
+            gen_demand(5, 1, 1e308, 5.0)

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fleetplan.domain import DemandSeries
 from fleetplan.forecast import (
     CHI2_95, ArimaModel, ArimaOrder, DegenerateSeriesError, LengthMismatchError,
-    NoninvertibleMAError, NumericalBreakdownError, SeriesTooShortError, acf,
-    astrom_predict, conditional_expectation_predict, difference, forecast_demand,
-    integrate, pacf, r_squared, rls_fit, whiteness_check,
+    NoninvertibleMAError, NumericalBreakdownError, SeriesTooShortError,
+    _flip_inside_ma_roots, acf, astrom_predict, conditional_expectation_predict,
+    difference, forecast_demand, integrate, pacf, r_squared, rls_fit, whiteness_check,
 )
+from test_acceptance import _integrated_arma_series
 
 
 class TestDifferencing:
@@ -201,6 +202,40 @@ def _stable_poly(rng, order):
     poly = np.poly(roots)
     poly = np.real(poly / poly[-1])[::-1]   # constant-first, constant 1
     return [float(v) for v in poly[1:]]
+
+
+def _ma_autocovariances(ma, noise_variance):
+    c = np.concatenate(([1.0], ma))
+    return noise_variance * np.array([c[:len(c) - k] @ c[k:] for k in range(len(c))])
+
+
+def _ma_roots(ma):
+    return np.roots(np.concatenate(([1.0], ma))[::-1])
+
+
+class TestInvertibleMA:
+    def test_fit_with_root_inside_forecasts(self):
+        # gate 6's generator seeded [33, 7] fits an MA root of modulus
+        # 0.9908; the fit flips it, so both predictors run and agree
+        y = _integrated_arma_series([33, 7])[:-100]
+        model, _ = rls_fit(y, ArimaOrder(3, 1, 4), 0.99)
+        assert np.all(np.abs(_ma_roots(model.ma_coeffs)) > 1.0)
+        for k in range(1, 9):
+            a = astrom_predict(model, y, k)
+            c = conditional_expectation_predict(model, y, k)
+            assert abs(a - c) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), st.floats(0.1, 10.0))
+    def test_flip_preserves_autocovariances(self, ma, noise_variance):
+        ma = np.array(ma)
+        assume(abs(ma[-1]) > 0.05)
+        assume(np.all(np.abs(np.abs(_ma_roots(ma)) - 1.0) > 0.05))
+        flipped, flipped_variance = _flip_inside_ma_roots(ma, noise_variance)
+        assert len(flipped) == len(ma)
+        assert np.all(np.abs(_ma_roots(flipped)) > 1.0)
+        assert np.allclose(_ma_autocovariances(flipped, flipped_variance),
+                           _ma_autocovariances(ma, noise_variance), rtol=1e-6, atol=1e-9)
 
 
 class TestForecastDemand:
