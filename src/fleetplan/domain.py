@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from random import Random
 
@@ -18,14 +18,8 @@ class ConfigError(ValueError):
     """A config or demand file could not be parsed or failed validation."""
 
 
-def round_half_up(x) -> int:
-    """Round to the nearest integer with ties going up (0.5 -> 1).
-
-    Accepts float or Decimal.  Used everywhere a fractional count has to
-    become a whole number of units, so the rounding rule is uniform.
-    """
-    if isinstance(x, Decimal):
-        return int(x.quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+def round_half_up(x: float) -> int:
+    """Round a float to the nearest integer with ties going up (0.5 -> 1)."""
     return math.floor(x + 0.5)
 
 
@@ -270,5 +264,5 @@ def gen_demand(horizon: int, seed: int, level: float, volatility: float) -> Dema
                              f"level {level} and volatility {volatility} are too large")
         if x < 0.0:
             x = 0.0
-        out.append(math.floor(x + 0.5))
+        out.append(round_half_up(x))
     return DemandSeries(tuple(out))

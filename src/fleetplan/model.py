@@ -31,8 +31,7 @@ from decimal import Decimal, InvalidOperation, Overflow
 from itertools import zip_longest
 from pathlib import Path
 
-from .domain import (CostParams, DemandSeries, FleetParams, ProcurementPlan,
-                     ceil_div, round_half_up)
+from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan, ceil_div
 
 VIOLATION_CODES = frozenset({
     "COST_ACCOUNT",
@@ -162,7 +161,10 @@ SCHEDULE_HEADER = ["week", "vessel_buys", "operator_buys", "vessel_discards",
 @dataclass(frozen=True)
 class Schedule:
     records: tuple[WeekRecord, ...]
-    total_cost: Decimal
+
+    @property
+    def total_cost(self) -> Decimal:
+        return sum((r.week_cost for r in self.records), Decimal(0))
 
 
 def discard_vessel(maint_weeks: int, costs: CostParams) -> bool:
@@ -177,9 +179,9 @@ def discard_operator(maint_weeks: int, costs: CostParams) -> bool:
             > costs.operator_price + 2 * costs.training_price)
 
 
-def _attrit(in_use: Pool, rate: Decimal) -> tuple[int, Pool]:
-    """Destroy round-half-up(rate * pool size) units, lowest wear first."""
-    destroyed = round_half_up(rate * sum(in_use)) if rate else 0
+def _attrit(in_use: Pool, num: int, den: int) -> tuple[int, Pool]:
+    """Destroy round-half-up(num/den * pool size) units, lowest wear first."""
+    destroyed = (2 * num * sum(in_use) + den) // (2 * den) if num else 0
     return destroyed, _take_lowest(in_use, destroyed)[1]
 
 
@@ -215,8 +217,9 @@ def step_week(state: FleetState, buys: tuple[int, int], demand: int,
     week = state.week + 1
 
     # attrition strikes last week's working units; survivors go to the shop
-    destroyed_v, surv_v = _attrit(state.vessels_in_use, params.attrition_rate)
-    destroyed_o, surv_o = _attrit(state.ops_in_use, params.attrition_rate)
+    num, den = params.attrition_rate.as_integer_ratio()
+    destroyed_v, surv_v = _attrit(state.vessels_in_use, num, den)
+    destroyed_o, surv_o = _attrit(state.ops_in_use, num, den)
     maint_v, discards_v = _enter_maintenance(surv_v, lambda w: discard_vessel(w, costs))
     maint_o, discards_o = _enter_maintenance(surv_o, lambda w: discard_operator(w, costs))
 
@@ -271,23 +274,24 @@ def step_week(state: FleetState, buys: tuple[int, int], demand: int,
     return next_state, record
 
 
+def _check_horizon(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams) -> None:
+    if not (plan.horizon == len(demand) == params.horizon):
+        raise ValueError(f"horizon mismatch: plan={plan.horizon} demand={len(demand)} "
+                         f"params={params.horizon}")
+
+
 def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
              costs: CostParams) -> Schedule:
     """Run the full horizon; raises InfeasibleError at the first unstaffable
-    week.  Total cost is the exact sum of the weekly costs."""
-    if not (plan.horizon == len(demand) == params.horizon):
-        raise ValueError(
-            f"horizon mismatch: plan={plan.horizon} demand={len(demand)} "
-            f"params={params.horizon}")
+    week."""
+    _check_horizon(plan, demand, params)
     state = FleetState.initial(params)
     records = []
-    total = Decimal(0)
     for i in range(params.horizon):
         state, record = step_week(state, (plan.vessel_buys[i], plan.operator_buys[i]),
                                   demand[i], params, costs)
         records.append(record)
-        total += record.week_cost
-    return Schedule(tuple(records), total)
+    return Schedule(tuple(records))
 
 
 def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
@@ -300,8 +304,8 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
     and each week must carry its own number and satisfy demand coverage,
     operator balance, instructor count, maintenance turnover, purchase
     lead times, the attrition account, and nonnegativity.  Each week_cost
-    must equal its counts times the prices, and total_cost the sum of the
-    weekly costs (reported as week 0).
+    must equal its counts times the prices; the total is their sum by
+    construction, and a file's totals row is checked by its reader.
     """
     out: list[Violation] = []
     records = schedule.records
@@ -310,6 +314,7 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
                              f"schedule covers {len(records)} week(s), demand covers {len(demand)}"))
         return out
 
+    num, den = params.attrition_rate.as_integer_ratio()
     own_v = params.initial_vessels
     own_o = params.initial_operators
     prev_deployed = 0
@@ -335,8 +340,8 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
                                  f"week_cost={rec.week_cost}, counts at the prices give {want_cost}"))
 
         # attrition account: destroyed counts follow from last week's usage
-        want_dv = round_half_up(params.attrition_rate * prev_deployed)
-        want_do = round_half_up(params.attrition_rate * 4 * prev_deployed)
+        want_dv = (2 * num * prev_deployed + den) // (2 * den)
+        want_do = (8 * num * prev_deployed + den) // (2 * den)
         if rec.vessels_destroyed != want_dv:
             out.append(Violation(week, "EQ18_ATTRITION_SUPPLY",
                                  f"vessels_destroyed={rec.vessels_destroyed}, "
@@ -397,7 +402,7 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
                                  f"trainees={rec.trainees} but operator_buys={rec.operator_buys}"))
 
         # instructor headcount is pinned by the week's trainee intake
-        want_g = ceil_div(rec.operator_buys, params.instruct_capacity) if rec.operator_buys else 0
+        want_g = -(-rec.operator_buys // params.instruct_capacity)
         if rec.instructors != want_g:
             out.append(Violation(week, "EQ11_INSTRUCTORS",
                                  f"instructors={rec.instructors}, {rec.operator_buys} trainees "
@@ -416,11 +421,6 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
 
         prev_own_v = own_v
         prev_deployed = rec.robots_deployed
-
-    weekly = sum((rec.week_cost for rec in records), Decimal(0))
-    if schedule.total_cost != weekly:
-        out.append(Violation(0, "COST_ACCOUNT",
-                             f"total_cost={schedule.total_cost}, weekly costs sum to {weekly}"))
     return out
 
 
@@ -445,10 +445,7 @@ def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
     deployment shortfalls are likewise unrepairable: purchases arrive a
     week too late.  Returns the feasible plan and its schedule.
     """
-    if not (plan.horizon == len(demand) == params.horizon):
-        raise ValueError(
-            f"horizon mismatch: plan={plan.horizon} demand={len(demand)} "
-            f"params={params.horizon}")
+    _check_horizon(plan, demand, params)
     vessel = list(plan.vessel_buys)
     operator = list(plan.operator_buys)
     # states[i] is the state after i completed weeks; records[i] covers week i+1
@@ -468,26 +465,21 @@ def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
             if bumps > limit:
                 raise RuntimeError(
                     "repair failed to converge; model invariant broken") from None
-            if (err.code == INSUFFICIENT_INSTRUCTORS
-                    and err.week - 1 not in bumped_ops):
+            if err.code == INSUFFICIENT_INSTRUCTORS and i not in bumped_ops:
                 # the plan's own purchase for this week outstrips the
                 # instructor pool and no repair bump put it there: the
-                # purchase is gratuitous, so shrink the intake to fit.
+                # purchase is gratuitous, so shrink it and retry the week.
                 # shortfall = 4R + ceil(ob/G) - available, hence the
                 # largest instructable intake is G*(ceil(ob/G) - shortfall).
-                idx = err.week - 1
                 g = params.instruct_capacity
-                ob_max = g * (ceil_div(operator[idx], g) - err.shortfall)
-                if ob_max >= operator[idx]:  # strict progress is guaranteed
+                ob_max = g * (ceil_div(operator[i], g) - err.shortfall)
+                if ob_max >= operator[i]:  # strict progress is guaranteed
                     raise RuntimeError(
                         "instructor clamp failed to shrink the intake"
                     ) from None
-                operator[idx] = max(0, ob_max)
-                i = idx
-                del states[i + 1:]
-                del records[i:]
+                operator[i] = max(0, ob_max)
                 continue
-            if err.week <= 1:
+            if i == 0:
                 if err.code == INSUFFICIENT_INSTRUCTORS:
                     cap = params.instruct_capacity * (
                         params.initial_operators - 4 * demand[0])
@@ -496,24 +488,22 @@ def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
                            f"operators than the initial stock can instruct "
                            f"(at most {cap} week-1 trainees)") from None
                 raise UnrepairableError(
-                    err.week,
-                    f"{err.code}: week-1 demand exceeds the initial fleet "
-                    f"by {err.shortfall}") from None
+                    1, f"{err.code}: week-1 demand exceeds the initial fleet "
+                       f"by {err.shortfall}") from None
+            # buy the shortfall a week earlier and rerun from that week
+            i -= 1
             if err.code == INSUFFICIENT_VESSELS:
-                vessel[err.week - 2] += err.shortfall
+                vessel[i] += err.shortfall
             else:
-                operator[err.week - 2] += err.shortfall
-                bumped_ops.add(err.week - 2)
-            i = err.week - 2
-            del states[i + 1:]
-            del records[i:]
+                operator[i] += err.shortfall
+                bumped_ops.add(i)
+            states.pop()
+            records.pop()
             continue
         states.append(state)
         records.append(record)
         i += 1
-    fixed = ProcurementPlan(tuple(vessel), tuple(operator))
-    total = sum((r.week_cost for r in records), Decimal(0))
-    return fixed, Schedule(tuple(records), total)
+    return ProcurementPlan(tuple(vessel), tuple(operator)), Schedule(tuple(records))
 
 
 def repair(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
@@ -529,6 +519,12 @@ def repair(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
     return fixed
 
 
+def _totals_row(schedule: Schedule) -> list:
+    """The schedule CSV's last row: every column summed over the weeks."""
+    return ["total", *(sum(getattr(r, name) for r in schedule.records)
+                       for name in SCHEDULE_HEADER[1:-1]), schedule.total_cost]
+
+
 def write_schedule_csv(path: str | Path, schedule: Schedule) -> None:
     """Schedule CSV: one row per week plus a trailing totals row."""
     with open(path, "w", newline="") as fh:
@@ -536,8 +532,7 @@ def write_schedule_csv(path: str | Path, schedule: Schedule) -> None:
         writer.writerow(SCHEDULE_HEADER)
         for r in schedule.records:
             writer.writerow([getattr(r, name) for name in SCHEDULE_HEADER])
-        sums = [sum(getattr(r, name) for r in schedule.records) for name in SCHEDULE_HEADER[1:-1]]
-        writer.writerow(["total", *sums, schedule.total_cost])
+        writer.writerow(_totals_row(schedule))
 
 
 def _finite_decimal(cell: str) -> Decimal:
@@ -554,8 +549,9 @@ def _finite_decimal(cell: str) -> Decimal:
 def read_schedule_csv(path: str | Path) -> Schedule:
     """Parse a schedule CSV written by write_schedule_csv.
 
-    Ownership columns are not part of the export, so loaded records carry
-    None there and the validator falls back to reconstruction.
+    The totals row must come last and match the weeks' column sums cell
+    for cell.  Ownership columns are not part of the export, so loaded
+    records carry None there and the validator falls back to reconstruction.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -563,30 +559,35 @@ def read_schedule_csv(path: str | Path) -> Schedule:
         if header != SCHEDULE_HEADER:
             raise ScheduleFormatError(f"bad schedule header: {header}")
         records = []
-        total = None
+        totals = None
         for row in reader:
             if not row:
                 continue
-            if row[0] == "total":
-                try:
-                    total = _finite_decimal(row[-1])
-                except ValueError:
-                    raise ScheduleFormatError(f"bad total cost: {row[-1]!r}") from None
-                break
+            if totals is not None:
+                raise ScheduleFormatError(f"row after the totals row: {row}")
             if len(row) != len(SCHEDULE_HEADER):
                 raise ScheduleFormatError(f"malformed schedule row: {row}")
+            if row[0] == "total":
+                totals = row
+                continue
             try:
                 counts = [int(v) for v in row[:-1]]
                 cost = _finite_decimal(row[-1])
             except ValueError:
                 raise ScheduleFormatError(f"malformed schedule row: {row}") from None
             records.append(WeekRecord(*counts, cost))
-    if total is None:
+    if totals is None:
         raise ScheduleFormatError("schedule file missing totals row")
     try:
-        check = sum((r.week_cost for r in records), Decimal(0))
+        claimed = ["total", *(int(v) for v in totals[1:-1]), _finite_decimal(totals[-1])]
+    except ValueError:
+        raise ScheduleFormatError(f"malformed totals row: {totals}") from None
+    schedule = Schedule(tuple(records))
+    try:
+        sums = _totals_row(schedule)
     except Overflow:
         raise ScheduleFormatError("weekly costs overflow the decimal range") from None
-    if check != total:
-        raise ScheduleFormatError(f"totals row says {total}, weekly costs sum to {check}")
-    return Schedule(tuple(records), total)
+    for name, says, want in zip(SCHEDULE_HEADER, claimed, sums):
+        if says != want:
+            raise ScheduleFormatError(f"totals row says {name} {says}, the weeks sum to {want}")
+    return schedule

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: exit codes, outputs, reproducibility."""
 
+import io
 import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
 
@@ -114,10 +116,12 @@ class TestSolveValidate:
                     "--seed", 0, "--out-dir", out] + FAST_SOLVE) == 0
         sched = out / "schedule.csv"
         lines = sched.read_text().splitlines()
-        # bump robots_deployed (last count column) in week 3
-        parts = lines[3].split(",")
-        parts[-2] = str(int(parts[-2]) + 1)
-        lines[3] = ",".join(parts)
+        # bump robots_deployed (last count column) in week 3, and its
+        # column total so the reader passes the file to the validator
+        for row in (3, -1):
+            parts = lines[row].split(",")
+            parts[-2] = str(int(parts[-2]) + 1)
+            lines[row] = ",".join(parts)
         sched.write_text("\n".join(lines) + "\n")
         code = run(["validate", "--config", workdir / "config.txt",
                     "--demand", workdir / "demand.csv", "--schedule", sched])
@@ -189,6 +193,19 @@ class TestSolveValidate:
                     "--demand", workdir / "demand.csv", "--schedule", sched])
         assert code == 4
         assert "schedule rejected" in capsys.readouterr().err
+
+    def test_counts_beyond_decimal_precision(self, tmp_path, capsys):
+        # attrition of 10^30 units at K = 0.1 needs 30 exact digits
+        save_config(tmp_path / "config.txt", COSTS,
+                    FleetParams(instruct_capacity=10, attrition_rate=Decimal("0.1"),
+                                initial_vessels=10 ** 30, initial_operators=5 * 10 ** 30,
+                                horizon=2))
+        save_demand(tmp_path / "demand.csv", DemandSeries((10 ** 30, 1)))
+        files = ["--config", tmp_path / "config.txt", "--demand", tmp_path / "demand.csv"]
+        assert run(["solve", *files, "--out-dir", tmp_path / "run",
+                    "--population", 4, "--max-evals", 20]) == 0
+        assert run(["validate", *files, "--schedule", tmp_path / "run" / "schedule.csv"]) == 0
+        assert "OK" in capsys.readouterr().out
 
     def test_infeasible_instance_exit_3(self, workdir, capsys):
         save_demand(workdir / "hopeless.csv", DemandSeries((9, 2, 2, 2, 2, 2)))
@@ -377,6 +394,57 @@ class TestFuzzedInputs:
             code = run(["gen-demand", "--horizon", 3, "--seed", 2, f"--level={level!r}",
                         f"--volatility={volatility!r}", "--out", Path(tmp) / "g.csv"])
         assert code in range(6)
+
+
+@pytest.fixture(scope="module")
+def solved_k20(tmp_path_factory):
+    """A schedule solved under attrition (the k20 scenario) and its inputs."""
+    tmp = tmp_path_factory.mktemp("solved_k20")
+    save_config(tmp / "config.txt", COSTS, FLEET)
+    save_demand(tmp / "demand.csv", DEMAND)
+    files = ["--config", tmp / "config.txt", "--demand", tmp / "demand.csv",
+             "--scenario", "k20"]
+    assert run(["solve", *files, "--seed", 0, "--out-dir", tmp / "run"] + FAST_SOLVE) == 0
+    return files, (tmp / "run" / "schedule.csv").read_text()
+
+
+def _retotal(rows):
+    """Set each totals cell to its column's sum wherever the column still parses."""
+    for col, kind in enumerate([int] * 11 + [Decimal], start=1):
+        try:
+            rows[-1][col] = str(sum((kind(row[col]) for row in rows[1:-1]), kind(0)))
+        except (ValueError, ArithmeticError):
+            pass
+
+
+class TestFuzzedSchedule:
+    """A schedule with one cell replaced is accepted (exit 0) or rejected
+    (exit 4), never a traceback out of main().  An "@" in the new text
+    stands for the cell's old value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.integers(1, len(DEMAND) + 1), col=st.integers(0, 12),
+           text=st.one_of(st.integers(-10 ** 40, 10 ** 40).map(str),
+                          st.sampled_from(["nan", "NaN", "sNaN", "inf", "-Infinity", "1e30",
+                                           "", "total", "garbage", "1.5", "-0"]),
+                          st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)),
+           retotal=st.booleans())
+    @example(row=len(DEMAND) + 1, col=1, text="999", retotal=False)
+    @example(row=len(DEMAND) + 1, col=5, text="-7", retotal=False)
+    @example(row=len(DEMAND) + 1, col=12, text="@\ngarbage", retotal=False)
+    @example(row=1, col=11, text=str(10 ** 30), retotal=True)
+    def test_schedule_cell(self, solved_k20, row, col, text, retotal):
+        files, schedule = solved_k20
+        rows = [line.split(",") for line in schedule.splitlines()]
+        rows[row][col] = text.replace("@", rows[row][col])
+        if retotal:
+            _retotal(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "schedule.csv"
+            path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = run(["validate", *files, "--schedule", path])
+        assert code in (0, 4)
 
 
 class TestConsoleScript:

@@ -79,6 +79,17 @@ class TestStepWeek:
         assert sched.records[1].vessels_destroyed == 2
         assert sched.records[1].operators_destroyed == 6
 
+    @pytest.mark.parametrize("k, deployed, want", [
+        ("0.1", 10 ** 30, 10 ** 29),
+        ("0.5", 10 ** 30 + 1, 5 * 10 ** 29 + 1),  # a tie 31 digits long goes up
+    ])
+    def test_attrition_exact_beyond_decimal_precision(self, k, deployed, want):
+        p = params(deployed, 4 * deployed, k=k, horizon=2)
+        demand = DemandSeries((deployed, 0))
+        sched = simulate(ProcurementPlan.zero(2), demand, p, COSTS)
+        assert sched.records[1].vessels_destroyed == want
+        assert validate(sched, demand, p, COSTS) == []
+
     def test_two_week_purchase_pipeline(self):
         # week 1 buys feed week 2 deployment: one vessel commissions while
         # four hires train under one reserved instructor; total is the
@@ -140,9 +151,9 @@ class TestCostAggregation:
                          week_cost=Decimal("895"))
         # 2*100 + 8*50 + (2+8)*20 + 3*15 + 5*10
         p = params(3, 7, g=4)
-        assert validate(Schedule((rec,), Decimal("895")), DemandSeries((0,)), p, COSTS) == []
+        assert validate(Schedule((rec,)), DemandSeries((0,)), p, COSTS) == []
         off = dataclasses.replace(rec, week_cost=Decimal("894"))
-        bad = validate(Schedule((off,), Decimal("894")), DemandSeries((0,)), p, COSTS)
+        bad = validate(Schedule((off,)), DemandSeries((0,)), p, COSTS)
         assert [v.constraint for v in bad] == ["COST_ACCOUNT"]
 
     def test_aggregate_equals_weekly_sum(self):
@@ -165,7 +176,7 @@ class TestValidator:
     def _corrupt(self, week_idx, **changes):
         recs = list(self.sched.records)
         recs[week_idx] = dataclasses.replace(recs[week_idx], **changes)
-        return Schedule(tuple(recs), self.sched.total_cost)
+        return Schedule(tuple(recs))
 
     def _codes(self, sched, demand=None):
         bad = validate(sched, demand or self.demand, self.params, COSTS)
@@ -215,7 +226,7 @@ class TestValidator:
         p = params(2, 20, horizon=1)
         sched = simulate(ProcurementPlan((3,), (0,)), DemandSeries((2,)), p, COSTS)
         recs = (dataclasses.replace(sched.records[0], robots_deployed=3),)
-        bad = validate(Schedule(recs, sched.total_cost), DemandSeries((3,)), p, COSTS)
+        bad = validate(Schedule(recs), DemandSeries((3,)), p, COSTS)
         assert "EQ13_COMMISSIONING" in {v.constraint for v in bad}
 
     def test_eq18_attrition_account(self):
@@ -233,11 +244,6 @@ class TestValidator:
         rec = self.sched.records[2]
         bad = self._corrupt(2, week_cost=rec.week_cost + 1)
         assert "COST_ACCOUNT" in self._codes(bad)
-
-    def test_cost_account_total(self):
-        bad = validate(Schedule(self.sched.records, Decimal(0)), self.demand,
-                       self.params, COSTS)
-        assert [(v.week, v.constraint) for v in bad] == [(0, "COST_ACCOUNT")]
 
     def test_nonneg(self):
         bad = self._corrupt(1, vessel_discards=-1)
@@ -262,7 +268,7 @@ class TestValidator:
                     recs = list(sched.records)
                     recs[i] = dataclasses.replace(
                         rec, **{field.name: getattr(rec, field.name) + step})
-                    tampered = Schedule(tuple(recs), sched.total_cost)
+                    tampered = Schedule(tuple(recs))
                     assert validate(tampered, demand, p, costs), (i, field.name, step)
 
     def test_csv_round_trip_still_validates(self, tmp_path):
@@ -408,6 +414,23 @@ class TestScheduleCSV:
         lines[-1] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ScheduleFormatError, match="totals row"):
+            read_schedule_csv(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[-1].__setitem__(1, "999"),  # vessel_buys total
+        lambda rows: rows[-1].__setitem__(5, "-7"),  # vessels_destroyed total
+        lambda rows: rows.__setitem__(-1, ["total", rows[-1][-1]]),
+        lambda rows: rows.append(["garbage"]),
+        lambda rows: rows.append(rows[1]),
+    ], ids=["vessel-buys-999", "destroyed-minus-7", "two-cells", "garbage-after",
+            "week-after"])
+    def test_totals_row_checked_in_full(self, tmp_path, edit):
+        path = tmp_path / "schedule.csv"
+        write_schedule_csv(path, self._schedule())
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        edit(rows)
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        with pytest.raises(ScheduleFormatError):
             read_schedule_csv(path)
 
     def test_missing_totals_row(self, tmp_path):
