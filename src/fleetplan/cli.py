@@ -31,7 +31,7 @@ from .forecast import (ArimaOrder, DegenerateSeriesError, NoninvertibleMAError,
                        write_diagnostics_csv, write_forecast_csv)
 from .greedy import UnseedableError
 from .metaheuristic import (AnnealSchedule, SolverConfig, solve, solve_plain_ga,
-                            write_trace_csv)
+                            write_stats_csv, write_trace_csv)
 from .model import (InfeasibleError, ScheduleFormatError, UnrepairableError,
                     read_schedule_csv, validate, write_schedule_csv)
 
@@ -122,6 +122,7 @@ def cmd_solve(args) -> int:
     result = solve(demand, fleet, costs, config, schedule_prog)
     write_schedule_csv(out_dir / "schedule.csv", result.schedule)
     write_trace_csv(out_dir / "trace.csv", result.trace)
+    write_stats_csv(out_dir / "stats.csv", result.stats)
     write_manifest(out_dir, started, {
         "command": "solve",
         "config_path": args.config,
@@ -132,6 +133,7 @@ def cmd_solve(args) -> int:
         "best_cost": result.schedule.total_cost,
         "evals_total": result.trace.evals_total,
         "evals_to_best": result.trace.evals_to_best,
+        **{f"{phase}_ms": round(seconds * 1e3) for phase, seconds in result.phase_s.items()},
     })
     print(f"best cost {result.schedule.total_cost}, reached after "
           f"{result.trace.evals_to_best} iterations "

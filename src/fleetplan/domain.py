@@ -111,16 +111,17 @@ class ProcurementPlan:
     operator_buys: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vessel_buys", tuple(int(v) for v in self.vessel_buys))
-        object.__setattr__(self, "operator_buys", tuple(int(v) for v in self.operator_buys))
+        object.__setattr__(self, "vessel_buys", tuple(map(int, self.vessel_buys)))
+        object.__setattr__(self, "operator_buys", tuple(map(int, self.operator_buys)))
         if len(self.vessel_buys) != len(self.operator_buys):
             raise ValueError("vessel and operator buy vectors must have equal length")
         if len(self.vessel_buys) < 1:
             raise ValueError("plan must cover at least one week")
         for name in ("vessel_buys", "operator_buys"):
-            for i, v in enumerate(getattr(self, name), start=1):
-                if v < 0:
-                    raise ValueError(f"{name} for week {i} must be >= 0, got {v}")
+            values = getattr(self, name)
+            if min(values) < 0:
+                i = next(i for i, v in enumerate(values) if v < 0)
+                raise ValueError(f"{name} for week {i + 1} must be >= 0, got {values[i]}")
 
     @property
     def horizon(self) -> int:

@@ -5,7 +5,8 @@ shortfall with the minimal buy at the latest lead-time-respecting week;
 attrition replacement falls out of the same loop because the simulator
 reports post-attrition shortfalls.  reduce_plan then walks the plan
 downhill, one unit at a time, until no single purchase can be removed
-without breaking feasibility or raising cost.
+without breaking feasibility or raising cost; each pass simulates its
+2H single-unit decrements as one batch.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
-from .model import InfeasibleError, UnrepairableError, repair, simulate
+from .model import InfeasibleError, UnrepairableError, repair, simulate, simulate_batch
 
 
 class UnseedableError(Exception):
@@ -72,15 +73,15 @@ def reduce_plan(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams
     reductions: list[Reduction] = []
     while True:
         genes = current.vessel_buys + current.operator_buys
-        best = None  # ((cost, -week, kind), plan); kind 0 is vessels
+        trials = {}
         for i, amount in enumerate(genes):
-            if amount == 0:
-                continue
-            trimmed = genes[:i] + (amount - 1,) + genes[i + 1:]
-            trial = ProcurementPlan(trimmed[:h], trimmed[h:])
-            try:
-                cost = simulate(trial, demand, params, costs).total_cost
-            except InfeasibleError:
+            if amount:
+                trimmed = genes[:i] + (amount - 1,) + genes[i + 1:]
+                trials[i] = ProcurementPlan(trimmed[:h], trimmed[h:])
+        outcomes = simulate_batch(list(trials.values()), demand, params, costs)
+        best = None  # ((cost, -week, kind), plan); kind 0 is vessels
+        for (i, trial), cost in zip(trials.items(), outcomes):
+            if isinstance(cost, InfeasibleError):
                 continue
             key = (cost, -(i % h + 1), i // h)
             if cost < current_cost and (best is None or key < best[0]):

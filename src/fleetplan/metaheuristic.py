@@ -13,12 +13,24 @@ Determinism: one Random(seed) stream is consumed in a fixed order each
 generation (two selection draws per pairing, one crossover draw per
 week, then per gene one gate draw and, if the gate opens, one magnitude
 draw), so equal seeds give byte-identical traces.
+
+Evaluation draws no random numbers, so a generation breeds first and
+evaluates after: it breeds exactly the pairs a one-child-at-a-time loop
+would breed next (ceil(short/2) pairs while the population is short),
+repairs and costs their distinct uncached children as one
+model.repair_batch, and then replays the cache, the evaluation count,
+the rejects, the best plan and the budget stop in child order.  The
+outputs are those of evaluating each child as it is bred, including
+the second child of a pair that is evaluated after the population
+fills; children bred past a budget stop are never counted.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -26,7 +38,9 @@ from random import Random
 
 from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan, round_half_up
 from .greedy import reduce_plan, seed_plan
-from .model import Schedule, UnrepairableError, repair_and_simulate, simulate
+# repair_and_simulate is not called here; perfbench wraps it by this name
+from .model import (Schedule, UnrepairableError, repair_and_simulate,  # noqa: F401
+                    repair_batch, simulate)
 
 REHEAT_EPS = 1e-9
 
@@ -93,11 +107,21 @@ class ConvergenceTrace:
     evals_to_best: int = 0
 
 
+# the counters a solve reports, in stats.csv order
+STATS = ("evaluations", "cache_hits", "unrepairable", "bumps_vessels", "bumps_operators",
+         "bumps_instructors", "instructor_clamps", "rows_stepped", "kernel_rounds",
+         "greedy_reductions")
+
+
 @dataclass(frozen=True)
 class SolveResult:
     plan: ProcurementPlan
     schedule: Schedule
     trace: ConvergenceTrace
+    # deterministic counts, keyed by STATS
+    stats: dict[str, int] = field(default_factory=dict)
+    # wall seconds per phase; these differ between identical runs
+    phase_s: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def anneal_step(temperature: float, improved: bool, schedule: AnnealSchedule) -> float:
@@ -160,7 +184,14 @@ def mutation_magnitude(temperature: float, config: SolverConfig) -> int:
 
 
 class _Evaluator:
-    """Repairs and costs plans, counting distinct simulator evaluations."""
+    """Repairs and costs plans in batches, counting distinct evaluations.
+
+    batch() evaluates the uncached plans of a list at once; take() then
+    applies one plan's outcome to the counters, the cache and the best
+    plan, exactly as evaluating that plan alone at that point would.
+    stats counts cache hits and rejects as they are taken, and the
+    kernel's work (rounds, rows stepped, bumps, clamps) as it is done.
+    """
 
     def __init__(self, demand, params, costs):
         self.demand = demand
@@ -172,36 +203,52 @@ class _Evaluator:
         self.best_plan: ProcurementPlan | None = None
         self.best_cost: Decimal | None = None
         self.evals_to_best = 0
+        self.stats: Counter = Counter()
 
-    def __call__(self, plan: ProcurementPlan) -> tuple[ProcurementPlan, Decimal]:
-        hit = self.cache.get(plan)
-        if hit is not None:
-            return hit
-        fixed, schedule = repair_and_simulate(plan, self.demand, self.params, self.costs)
-        cost = schedule.total_cost
-        self.evals += 1
-        self.rejects = 0
-        if self.best_cost is None or cost < self.best_cost:
-            self.best_plan, self.best_cost = fixed, cost
-            self.evals_to_best = self.evals
-        self.cache[plan] = (fixed, cost)
-        return fixed, cost
+    def batch(self, plans: list[ProcurementPlan]) -> dict:
+        """Outcomes of the distinct plans not cached yet: (fixed, cost) or
+        the UnrepairableError that ends the plan's repair."""
+        novel = list(dict.fromkeys(p for p in plans if p not in self.cache))
+        if not novel:
+            return {}
+        return dict(zip(novel, repair_batch(novel, self.demand, self.params, self.costs,
+                                            self.stats)))
 
-    def try_call(self, plan: ProcurementPlan) -> tuple[ProcurementPlan, Decimal] | None:
-        """Evaluate a variation-produced plan, rejecting unrepairable ones.
+    def take(self, plan: ProcurementPlan, outcomes: dict,
+             ) -> tuple[ProcurementPlan, Decimal] | None:
+        """A plan's evaluated outcome, or None for an unrepairable one.
 
         Mutation and crossover can breed plans no purchase increase
         saves (an intake cascade hitting the week-1 instructor wall);
         the caller redraws on None.  A long run of consecutive
         rejections means nothing is repairable, so the error surfaces.
         """
-        try:
-            return self(plan)
-        except UnrepairableError:
+        hit = self.cache.get(plan)
+        if hit is not None:
+            self.stats["cache_hits"] += 1
+            return hit
+        got = outcomes[plan]
+        if isinstance(got, UnrepairableError):
             self.rejects += 1
+            self.stats["unrepairable"] += 1
             if self.rejects > 1000:
-                raise
+                raise got
             return None
+        fixed, cost = got
+        self.evals += 1
+        self.rejects = 0
+        if self.best_cost is None or cost < self.best_cost:
+            self.best_plan, self.best_cost = fixed, cost
+            self.evals_to_best = self.evals
+        self.cache[plan] = got
+        return got
+
+    def __call__(self, plan: ProcurementPlan) -> tuple[ProcurementPlan, Decimal]:
+        """Evaluate one plan that must be repairable."""
+        outcomes = self.batch([plan])
+        if isinstance(outcomes.get(plan), UnrepairableError):
+            raise outcomes[plan]
+        return self.take(plan, outcomes)
 
 
 def _random_plan(horizon: int, demand: DemandSeries, rng: Random) -> ProcurementPlan:
@@ -230,11 +277,15 @@ def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
     best_idx = min(range(len(costs_)), key=lambda k: costs_[k])
     nxt = [population[best_idx]]
     magnitude = 1 if temperature is None else mutation_magnitude(temperature, config)
-    while len(nxt) < config.population_size:
-        pa, pb = roulette_select(plans, costs_, rng)
-        for child in crossover(pa, pb, rng, config.crossover_rate):
-            child = mutate(child, magnitude, config, rng)
-            got = evaluate.try_call(child)
+    while (short := config.population_size - len(nxt)) > 0:
+        children = []
+        for _ in range(-(-short // 2)):
+            pa, pb = roulette_select(plans, costs_, rng)
+            children += [mutate(child, magnitude, config, rng)
+                         for child in crossover(pa, pb, rng, config.crossover_rate)]
+        outcomes = evaluate.batch(children)
+        for child in children:
+            got = evaluate.take(child, outcomes)
             if got is not None and len(nxt) < config.population_size:
                 nxt.append(got)
             if evaluate.evals >= config.max_iterations:
@@ -246,24 +297,30 @@ def _populate(population: list[tuple[ProcurementPlan, Decimal]], breed,
               config: SolverConfig, evaluate: _Evaluator) -> list[tuple[ProcurementPlan, Decimal]]:
     """Fill the population with evaluated plans from breed(), skipping
     unrepairable ones."""
-    while len(population) < config.population_size:
-        got = evaluate.try_call(breed())
-        if got is not None:
-            population.append(got)
+    while (short := config.population_size - len(population)) > 0:
+        plans = [breed() for _ in range(short)]
+        outcomes = evaluate.batch(plans)
+        for plan in plans:
+            got = evaluate.take(plan, outcomes)
+            if got is not None:
+                population.append(got)
     return population
 
 
-def _search(population: list[tuple[ProcurementPlan, Decimal]],
+def _search(population: list[tuple[ProcurementPlan, Decimal]], breed,
             schedule: AnnealSchedule | None, config: SolverConfig, rng: Random,
-            evaluate: _Evaluator) -> SolveResult:
+            evaluate: _Evaluator, phase_s: dict[str, float]) -> SolveResult:
     """The generation loop both solvers share; schedule None is the baseline.
 
-    With a schedule, the temperature scales mutation magnitude and the run
+    The population is first filled from breed().  With a schedule, the temperature scales mutation magnitude and the run
     ends once it drops below the termination floor.  Without one, mutation
     magnitude is 1 and the trace records temperature 0.0.  Either way the
     run also ends at the evaluation budget or after _STALL_GENERATIONS
-    generations without a novel evaluation.
+    generations without a novel evaluation.  phase_s gains the wall
+    seconds of the loop and of the final simulation.
     """
+    started = time.perf_counter()
+    population = _populate(population, breed, config, evaluate)
     points: list[TracePoint] = []
     temperature = None if schedule is None else schedule.initial_temp
     reheats = 0
@@ -288,10 +345,16 @@ def _search(population: list[tuple[ProcurementPlan, Decimal]],
         before = evaluate.evals
         population = _next_generation(population, temperature, config, rng, evaluate)
         stall = stall + 1 if evaluate.evals == before else 0
+    phase_s["ga_loop"] = time.perf_counter() - started
 
+    started = time.perf_counter()
     best = evaluate.best_plan
-    return SolveResult(best, simulate(best, evaluate.demand, evaluate.params, evaluate.costs),
-                       ConvergenceTrace(points, evaluate.evals, evaluate.evals_to_best))
+    best_schedule = simulate(best, evaluate.demand, evaluate.params, evaluate.costs)
+    phase_s["final_simulate"] = time.perf_counter() - started
+    stats = {name: evaluate.stats[name] for name in STATS} | {"evaluations": evaluate.evals}
+    return SolveResult(best, best_schedule,
+                       ConvergenceTrace(points, evaluate.evals, evaluate.evals_to_best),
+                       stats, phase_s)
 
 
 def solve(demand: DemandSeries, params: FleetParams, costs: CostParams,
@@ -303,15 +366,16 @@ def solve(demand: DemandSeries, params: FleetParams, costs: CostParams,
     evaluation cap is hit, or the search stalls.  Returns the best plan,
     its schedule, and the per-generation convergence trace.
     """
+    started = time.perf_counter()
     rng = Random(config.rng_seed)
     evaluate = _Evaluator(demand, params, costs)
     seeded = seed_plan(demand, params, costs)
-    seeded, _ = reduce_plan(seeded, demand, params, costs)
+    seeded, greedy = reduce_plan(seeded, demand, params, costs)
+    evaluate.stats["greedy_reductions"] = greedy.passes
+    phase_s = {"seed_reduce": time.perf_counter() - started}
     magnitude = mutation_magnitude(schedule.initial_temp, config)
-    population = _populate([evaluate(seeded)],
-                           lambda: mutate(seeded, magnitude, config, rng),
-                           config, evaluate)
-    return _search(population, schedule, config, rng, evaluate)
+    return _search([evaluate(seeded)], lambda: mutate(seeded, magnitude, config, rng),
+                   schedule, config, rng, evaluate, phase_s)
 
 
 def solve_plain_ga(demand: DemandSeries, params: FleetParams, costs: CostParams,
@@ -320,9 +384,8 @@ def solve_plain_ga(demand: DemandSeries, params: FleetParams, costs: CostParams,
     magnitude, no temperature, and a fixed evaluation budget."""
     rng = Random(config.rng_seed)
     evaluate = _Evaluator(demand, params, costs)
-    population = _populate([], lambda: _random_plan(len(demand), demand, rng),
-                           config, evaluate)
-    return _search(population, None, config, rng, evaluate)
+    return _search([], lambda: _random_plan(len(demand), demand, rng),
+                   None, config, rng, evaluate, {})
 
 
 def write_trace_csv(path: str | Path, trace: ConvergenceTrace) -> None:
@@ -331,3 +394,11 @@ def write_trace_csv(path: str | Path, trace: ConvergenceTrace) -> None:
         writer.writerow(["iteration", "temperature", "best_cost", "mean_cost", "reheats"])
         for p in trace.points:
             writer.writerow([p.iteration, repr(p.temperature), p.best_cost, p.mean_cost, p.reheats])
+
+
+def write_stats_csv(path: str | Path, stats: dict[str, int]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["counter", "value"])
+        for name in STATS:
+            writer.writerow([name, stats[name]])

@@ -1,14 +1,17 @@
 """Weekly fleet simulator, cost model, constraint validator, and plan repair.
 
-The simulator advances one week at a time over pools of vessels and
-operators.  A pool is a tuple of counts indexed by accumulated
-maintenance weeks (pool[w] units have worn w weeks) rather than a
-per-unit ledger: every rule in the model depends only on a unit's status
-and its wear, so units at the same wear are interchangeable.  Between
-weeks each unit kind needs only two pools, the units ready to be staffed
-and the units that just worked.  Wherever a subset of a pool must be
-picked (deployment, attrition, instructor duty) units are taken lowest
-wear first, which keeps every run deterministic.
+The simulator is one batched week kernel, step_week, which advances B
+plans by one week at once.  Each unit kind (vessels, operators) needs
+only two pools between weeks, the units ready to be staffed and the
+units that just worked, and a pool is a row of counts indexed by
+accumulated maintenance weeks (pool[w] units have worn w weeks) rather
+than a per-unit ledger: every rule in the model depends only on a unit's
+status and its wear, so units at the same wear are interchangeable.  A
+batch holds its pools as (B, 2, W) integer arrays, kind on the middle
+axis, where W is the first discard wear capped at H + 1 (no pool ever
+holds a unit that worn).  Wherever a subset of a pool must be picked
+(deployment, attrition, instructor duty) units are taken lowest wear
+first, which keeps every run deterministic.
 
 Within a week the fixed order of events is:
   attrition on last week's working units -> survivors enter one week of
@@ -18,6 +21,20 @@ Within a week the fixed order of events is:
   under reserved instructors) -> exactly the demanded deployment is
   staffed -> the week's cost is accrued.
 
+Money inside the kernel is integer: each price is scaled by 10^-e, where
+e is the smallest exponent among the config's prices, and a cost turns
+back into the Decimal that Decimal arithmetic on the prices gives only
+when it leaves the kernel.  Arrays are int64 when a bound computed from
+the instance (initial stock, demand, prices, the attrition ratio and
+the largest plan entry) proves that no intermediate can overflow, and
+Python ints (dtype=object) otherwise; the same statements run either way.
+
+simulate, repair_and_simulate and the batch entry points simulate_batch
+and repair_batch all drive step_week.  Repair keeps a per-plan week
+cursor over a (B, H+1, ...) state history: each kernel round advances
+every unfinished plan one week, and a plan whose week failed is clamped
+and retries the week, or is bumped and rewinds one week.
+
 validate() re-derives the constraint set from schedule records alone and
 shares no code with step_week, so the two act as independent checks on
 each other.
@@ -26,12 +43,16 @@ each other.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, Overflow
-from itertools import zip_longest
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
-from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan, ceil_div
+import numpy as np
+
+from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 
 VIOLATION_CODES = frozenset({
     "COST_ACCOUNT",
@@ -48,6 +69,8 @@ VIOLATION_CODES = frozenset({
 INSUFFICIENT_VESSELS = "INSUFFICIENT_VESSELS"
 INSUFFICIENT_OPERATORS = "INSUFFICIENT_OPERATORS"
 INSUFFICIENT_INSTRUCTORS = "INSUFFICIENT_INSTRUCTORS"
+# step_week's shortfall codes: 0 is a staffed week, else the index here
+SHORTFALL_CODES = (None, INSUFFICIENT_VESSELS, INSUFFICIENT_OPERATORS, INSUFFICIENT_INSTRUCTORS)
 
 
 class InfeasibleError(Exception):
@@ -63,8 +86,10 @@ class InfeasibleError(Exception):
 class UnrepairableError(Exception):
     """No purchase schedule can fix the plan (week-1 demand exceeds stock)."""
 
-    def __init__(self, week: int, detail: str):
+    def __init__(self, code: str, week: int, shortfall: int, detail: str):
+        self.code = code
         self.week = week
+        self.shortfall = shortfall
         self.detail = detail
         super().__init__(f"week {week}: {detail}")
 
@@ -82,52 +107,6 @@ class Violation:
     def __post_init__(self):
         if self.constraint not in VIOLATION_CODES:
             raise ValueError(f"unknown constraint code: {self.constraint}")
-
-
-Pool = tuple[int, ...]  # pool[w] = units with w accumulated maintenance weeks
-
-
-def _add(*pools: Pool) -> Pool:
-    return tuple(map(sum, zip_longest(*pools, fillvalue=0)))
-
-
-def _take_lowest(pool: Pool, n: int) -> tuple[Pool, Pool]:
-    """Split n units off a pool, lowest maintenance count first.
-
-    Returns (taken, rest).  Callers check sufficiency beforehand.
-    """
-    if not n:
-        return (), pool
-    for w, count in enumerate(pool):
-        if count >= n:
-            return pool[:w] + (n,), (0,) * w + (count - n,) + pool[w + 1:]
-        n -= count
-    raise ValueError(f"pool exhausted: short {n}")
-
-
-@dataclass(slots=True)
-class FleetState:
-    """The two pools per unit kind at the end of a completed week.
-
-    A ready pool holds every unit that can be staffed next week: this
-    week's idle units, its shop and its instructors, plus its purchases
-    at wear 0 (commissioned or trained by then).  An in-use pool holds
-    this week's deployed units; next week they meet attrition and go to
-    the shop.  Treated as immutable by convention: step_week builds
-    fresh tuples and never touches its input, so states can be shared
-    freely.
-    """
-
-    week: int
-    vessels_ready: Pool
-    vessels_in_use: Pool
-    ops_ready: Pool
-    ops_in_use: Pool
-
-    @classmethod
-    def initial(cls, params: FleetParams) -> "FleetState":
-        """Week-0 state: the starting stock idle and fully skilled."""
-        return cls(0, (params.initial_vessels,), (), (params.initial_operators,), ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,119 +158,390 @@ def discard_operator(maint_weeks: int, costs: CostParams) -> bool:
             > costs.operator_price + 2 * costs.training_price)
 
 
-def _attrit(in_use: Pool, num: int, den: int) -> tuple[int, Pool]:
-    """Destroy round-half-up(num/den * pool size) units, lowest wear first."""
-    destroyed = (2 * num * sum(in_use) + den) // (2 * den) if num else 0
-    return destroyed, _take_lowest(in_use, destroyed)[1]
+_INT64_MAX = 2 ** 63 - 1
+_KINDS = np.arange(2)  # the middle axis of a pool array: vessels, operators
+_CREW = np.array((1, 4))  # vessels and operators one deployed robot takes
 
 
-def _enter_maintenance(survivors: Pool, is_discard) -> tuple[Pool, int]:
-    """Advance wear by one week and apply the discard rule on entry.
+def _first_discard(is_discard, cap: int) -> int:
+    """The least wear is_discard accepts, or cap if none below it does."""
+    return next((w for w in range(1, cap) if is_discard(w)), cap)
 
-    Pools only grow a level here, and a new top level past the discard
-    threshold is dropped at once, so no pool ever holds a unit past it.
-    More wear never brings a unit back under it, so only the top level
-    of the shifted pool can cross it.  Discarded units never take up a
-    maintenance slot and incur no maintenance charge for the week.
+
+def _scaled(price: Decimal, exponent: int) -> int:
+    """price * 10^-exponent, exactly, for an exponent at most price's."""
+    _, digits, exp = price.as_tuple()
+    return int("".join(map(str, digits))) * 10 ** (exp - exponent)
+
+
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """An instance's constants for step_week and its batch drivers.
+
+    entry_limit is the largest plan entry for which int64 arrays provably
+    cannot overflow (-1 when none can); see kernel().
     """
-    maint = (0, *survivors)
-    if is_discard(len(survivors)):
-        return maint[:-1], maint[-1]
-    return maint, 0
+
+    demand: DemandSeries
+    params: FleetParams
+    instruct_capacity: int
+    num: int  # attrition rate = num / den
+    den: int
+    # scaled prices: a (vessel, operator) purchase including the trainee's
+    # course, the instructor's charge, and a (vessel, operator) shop week
+    buy_prices: np.ndarray
+    training_price: int
+    shop_prices: np.ndarray
+    exponent: int
+    width: int
+    last_wear: np.ndarray  # (2,) per kind, the wear that is discarded on its next shop week
+    keep: np.ndarray  # (2, W) True where a survivor stays below its kind's discard wear
+    entry_limit: int
+
+    def start(self, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Week-0 (ready, in_use) pools: the starting stock idle and fully skilled."""
+        ready = np.zeros((rows, 2, self.width), dtype=dtype)
+        ready[:, 0, 0] = self.params.initial_vessels
+        ready[:, 1, 0] = self.params.initial_operators
+        return ready, np.zeros_like(ready)
+
+    def arrays(self, plans: list[ProcurementPlan]) -> tuple[np.ndarray, np.ndarray]:
+        """(buys, demand): buys[b, i] = (vessel, operator) buys of plan b in
+        week i+1, and the demand series, int64 when the bound allows."""
+        rows = [tuple(zip(p.vessel_buys, p.operator_buys)) for p in plans]
+        try:
+            buys = np.array(rows, dtype=np.int64)
+            if buys.max() <= self.entry_limit:
+                return buys, np.array(self.demand.values, dtype=np.int64)
+        except OverflowError:
+            pass
+        return np.array(rows, dtype=object), np.array(self.demand.values, dtype=object)
+
+    def decimal(self, cost, total: bool = False) -> Decimal:
+        """A kernel cost as the Decimal that the prices' Decimal arithmetic
+        gives: a week's terms share the least price exponent, and a total
+        sums from Decimal(0), so its exponent is at most 0.  Beyond
+        Decimal's precision both round to it."""
+        n, e = int(cost), self.exponent
+        if total and e > 0:
+            n, e = n * 10 ** e, 0
+        return +Decimal(f"{n}E{e}")
 
 
-def step_week(state: FleetState, buys: tuple[int, int], demand: int,
-              params: FleetParams, costs: CostParams) -> tuple[FleetState, WeekRecord]:
-    """Advance the fleet one week and return (next_state, record); raises
-    InfeasibleError when the week cannot be staffed.
+@lru_cache(maxsize=32)
+def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kernel:
+    """The Kernel of one instance; equal instances share one.
 
-    buys is (vessel_buys, operator_buys) for the week being entered.
-    Feasibility is reported with vessel shortfalls first, then operator
-    deployment, then instructor reservation.
+    int64 is safe while every plan entry stays at or below E, since then
+    no pool holds more than N = max(initial stock) + H*E units, and:
+      attrition   2*num*N + den                      <= 2^63 - 1
+      costs       H * (4*E + 2*N) * max scaled price  <= 2^63 - 1
+      shortfalls  4*max(demand) + E + N               <= 2^63 - 1
+    entry_limit is the largest such E.  Repair's bumps can raise entries
+    past it, so repair_batch checks each bump and widens to Python ints.
     """
-    cb, ob = buys
-    if cb < 0 or ob < 0:
-        raise ValueError("purchases must be >= 0")
-    if demand < 0:
-        raise ValueError("demand must be >= 0")
-    week = state.week + 1
+    h = params.horizon
+    num, den = params.attrition_rate.as_integer_ratio()
+    price_list = (costs.vessel_price, costs.operator_price, costs.training_price,
+                  costs.vessel_maint_price, costs.operator_maint_price)
+    exponent = min(p.as_tuple().exponent for p in price_list)
+    pv, po, pt, pvm, pom = prices = tuple(_scaled(p, exponent) for p in price_list)
+    first = (_first_discard(lambda w: discard_vessel(w, costs), h + 1),
+             _first_discard(lambda w: discard_operator(w, costs), h + 1))
+    width = max(first)
+    last_wear = np.array(first) - 1
+    keep = np.arange(width) < last_wear[:, None]
+
+    stock = max(params.initial_vessels, params.initial_operators)
+    top = _INT64_MAX
+    limits = [(top // (h * max(prices)) - 2 * stock) // (4 + 2 * h),
+              (top - 4 * max(demand.values) - stock) // (1 + h)]
+    if num:
+        limits.append(((top - den) // (2 * num) - stock) // h)
+    fits = 2 * den <= top and max(pv, po + pt, pvm, pom) <= top
+    entry_limit = min(limits) if fits else -1
+    dtype = np.int64 if fits else object
+    return Kernel(demand, params, params.instruct_capacity, num, den,
+                  np.array((pv, po + pt), dtype=dtype), pt, np.array((pvm, pom), dtype=dtype),
+                  exponent, width, last_wear, keep, max(entry_limit, -1))
+
+
+def _take(pool: np.ndarray, before: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The n units of each pool row taken lowest wear first, given before,
+    each row's count below every wear; n may exceed the row."""
+    return np.minimum(np.maximum(n[..., None] - before, 0), pool)
+
+
+class Week(NamedTuple):
+    """step_week's output for B rows.  Row b staffed its week iff
+    code[b] == 0; otherwise shortfall[b] units of SHORTFALL_CODES[code[b]]
+    were missing and its other fields mean nothing."""
+
+    code: np.ndarray  # (B,)
+    shortfall: np.ndarray  # (B,)
+    ready: np.ndarray  # (B, 2, W) next week's ready pools
+    in_use: np.ndarray  # (B, 2, W) this week's deployed units
+    cost: np.ndarray  # (B,) in scaled price units, see Kernel.decimal
+    destroyed: np.ndarray  # (B, 2) per kind
+    discards: np.ndarray  # (B, 2)
+    maint: np.ndarray  # (B, 2) units in the shop
+    instructors: np.ndarray  # (B,)
+    owned: np.ndarray  # (B, 2) at the end of the week
+
+
+def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: np.ndarray,
+              k: Kernel) -> Week:
+    """Advance B fleets one week.
+
+    ready and in_use are last week's (B, 2, W) pools, buys the (B, 2)
+    vessel and operator purchases of the week being entered, and demand
+    the (B,) deployments, all of one dtype.  Each row reports its own
+    shortfall, vessel shortfalls first, then operator deployment, then
+    instructor reservation.
+    """
+    if buys.min() < 0 or demand.min() < 0:
+        raise ValueError("purchases and demand must be >= 0")
 
     # attrition strikes last week's working units; survivors go to the shop
-    num, den = params.attrition_rate.as_integer_ratio()
-    destroyed_v, surv_v = _attrit(state.vessels_in_use, num, den)
-    destroyed_o, surv_o = _attrit(state.ops_in_use, num, den)
-    maint_v, discards_v = _enter_maintenance(surv_v, lambda w: discard_vessel(w, costs))
-    maint_o, discards_o = _enter_maintenance(surv_o, lambda w: discard_operator(w, costs))
+    if k.num:
+        worked = in_use.sum(axis=2)
+        destroyed = (2 * k.num * worked + k.den) // (2 * k.den)
+        survivors = in_use - _take(in_use, np.cumsum(in_use, axis=2) - in_use, destroyed)
+    else:
+        destroyed = np.zeros(in_use.shape[:2], dtype=in_use.dtype)
+        survivors = in_use
+    # one more week of wear; the units it takes to their kind's first
+    # discard wear are discarded on entry, take no slot and cost nothing
+    discards = survivors[:, _KINDS, k.last_wear]
+    maint = np.zeros_like(survivors)
+    maint[:, :, 1:] = np.where(k.keep, survivors, 0)[:, :, :-1]
+    shop = maint.sum(axis=2)
 
-    avail_v_n = sum(state.vessels_ready)
-    avail_o_n = sum(state.ops_ready)
-    maint_v_n = sum(maint_v)
-    maint_o_n = sum(maint_o)
+    # crews and instructors against the ready pools
+    avail = ready.sum(axis=2)
+    instructors = -(-buys[:, 1] // k.instruct_capacity)
+    need = np.multiply.outer(demand, _CREW)
+    need[:, 1] += instructors
+    short = need - avail
+    short_v, short_g = short[:, 0], short[:, 1]
+    short_o = short_g - instructors
+    lack_v, lack_o, lack_g = short_v > 0, short_o > 0, short_g > 0
+    code = np.where(lack_v, 1, np.where(lack_o, 2, 3 * lack_g))
+    shortfall = np.where(lack_v, short_v, np.where(lack_o, short_o, np.where(lack_g, short_g, 0)))
 
-    instructors = ceil_div(ob, params.instruct_capacity)
-
-    shortfall_v = demand - avail_v_n
-    if shortfall_v > 0:
-        raise InfeasibleError(INSUFFICIENT_VESSELS, week, shortfall_v)
-    shortfall_o = 4 * demand - avail_o_n
-    if shortfall_o > 0:
-        raise InfeasibleError(INSUFFICIENT_OPERATORS, week, shortfall_o)
-    shortfall_g = 4 * demand + instructors - avail_o_n
-    if shortfall_g > 0:
-        raise InfeasibleError(INSUFFICIENT_INSTRUCTORS, week, shortfall_g)
-
-    instructing, idle_o = _take_lowest(state.ops_ready, instructors)
-    use_o, idle_o = _take_lowest(idle_o, 4 * demand)
-    use_v, idle_v = _take_lowest(state.vessels_ready, demand)
-
-    week_cost = (cb * costs.vessel_price
-                 + ob * costs.operator_price
-                 + (instructors + ob) * costs.training_price
-                 + maint_v_n * costs.vessel_maint_price
-                 + maint_o_n * costs.operator_maint_price)
-
+    # instructors, then crews, then vessels, each lowest wear first
+    before = np.cumsum(ready, axis=2) - ready
+    use = _take(ready, before, need)
+    use[:, 1] -= _take(ready[:, 1], before[:, 1], instructors)
     # next week's ready pools: the idle, the shop, the instructors and the intake
-    next_state = FleetState(week, _add(idle_v, maint_v, (cb,)), use_v,
-                            _add(idle_o, maint_o, instructing, (ob,)), use_o)
-    record = WeekRecord(
-        week=week,
-        vessel_buys=cb,
-        operator_buys=ob,
-        vessel_discards=discards_v,
-        operator_discards=discards_o,
-        vessels_destroyed=destroyed_v,
-        operators_destroyed=destroyed_o,
-        vessels_maint=maint_v_n,
-        operators_maint=maint_o_n,
-        instructors=instructors,
-        trainees=ob,
-        robots_deployed=demand,
-        week_cost=week_cost,
-        # everything available pre-deployment plus the shop and the intake
-        vessels_owned=avail_v_n + maint_v_n + cb,
-        operators_owned=avail_o_n + maint_o_n + ob,
-    )
-    return next_state, record
+    nxt = ready - use + maint
+    nxt[:, :, 0] += buys
+
+    cost = buys @ k.buy_prices + shop @ k.shop_prices + instructors * k.training_price
+    # everything available pre-deployment plus the shop and the intake
+    owned = avail + shop + buys
+    return Week(code, shortfall, nxt, use, cost, destroyed, discards, shop, instructors, owned)
 
 
-def _check_horizon(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams) -> None:
-    if not (plan.horizon == len(demand) == params.horizon):
-        raise ValueError(f"horizon mismatch: plan={plan.horizon} demand={len(demand)} "
-                         f"params={params.horizon}")
+def _check_horizon(plans: list[ProcurementPlan], demand: DemandSeries,
+                   params: FleetParams) -> None:
+    for plan in plans:
+        if not (plan.horizon == len(demand) == params.horizon):
+            raise ValueError(f"horizon mismatch: plan={plan.horizon} demand={len(demand)} "
+                             f"params={params.horizon}")
 
 
 def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
              costs: CostParams) -> Schedule:
-    """Run the full horizon; raises InfeasibleError at the first unstaffable
-    week."""
-    _check_horizon(plan, demand, params)
-    state = FleetState.initial(params)
+    """Run the full horizon as a batch of one; raises InfeasibleError at
+    the first unstaffable week."""
+    _check_horizon([plan], demand, params)
+    k = kernel(demand, params, costs)
+    buys, dem = k.arrays([plan])
+    ready, in_use = k.start(1, buys.dtype)
     records = []
     for i in range(params.horizon):
-        state, record = step_week(state, (plan.vessel_buys[i], plan.operator_buys[i]),
-                                  demand[i], params, costs)
-        records.append(record)
+        w = step_week(ready, in_use, buys[:, i], dem[i:i + 1], k)
+        if w.code[0]:
+            raise InfeasibleError(SHORTFALL_CODES[w.code[0]], i + 1, int(w.shortfall[0]))
+        ready, in_use = w.ready, w.in_use
+        (cb, ob), (dv, do), (sv, so), (mv, mo), (ov, oo) = (
+            a[0].tolist() for a in (buys[:, i], w.discards, w.destroyed, w.maint, w.owned))
+        records.append(WeekRecord(i + 1, cb, ob, dv, do, sv, so, mv, mo,
+                                  int(w.instructors[0]), ob, int(dem[i]),
+                                  k.decimal(w.cost[0]), ov, oo))
     return Schedule(tuple(records))
+
+
+def simulate_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: FleetParams,
+                   costs: CostParams) -> list[Decimal | InfeasibleError]:
+    """Each plan's total cost, or the InfeasibleError of its first
+    unstaffable week, from one kernel round per week."""
+    _check_horizon(plans, demand, params)
+    if not plans:
+        return []
+    k = kernel(demand, params, costs)
+    buys, dem = k.arrays(plans)
+    ready, in_use = k.start(len(plans), buys.dtype)
+    rows = np.zeros(len(plans), dtype=np.intp)
+    total = np.zeros(len(plans), dtype=buys.dtype)
+    code = np.zeros(len(plans), dtype=np.intp)
+    week = np.zeros(len(plans), dtype=np.intp)
+    shortfall = np.zeros(len(plans), dtype=buys.dtype)
+    for i in range(params.horizon):
+        w = step_week(ready, in_use, buys[:, i], dem[rows + i], k)
+        first = (code == 0) & (w.code != 0)
+        code[first], week[first], shortfall[first] = w.code[first], i + 1, w.shortfall[first]
+        ready, in_use, total = w.ready, w.in_use, total + w.cost
+    return [InfeasibleError(SHORTFALL_CODES[c], int(wk), int(s)) if c else k.decimal(t, True)
+            for c, wk, s, t in zip(code.tolist(), week.tolist(), shortfall.tolist(),
+                                   total.tolist())]
+
+
+def _unrepairable(code: str, shortfall: int, demand: DemandSeries,
+                  params: FleetParams) -> UnrepairableError:
+    if code == INSUFFICIENT_INSTRUCTORS:
+        cap = params.instruct_capacity * (params.initial_operators - 4 * demand[0])
+        return UnrepairableError(code, 1, shortfall,
+                                 f"{code}: later weeks need more trained operators than the "
+                                 f"initial stock can instruct (at most {cap} week-1 trainees)")
+    return UnrepairableError(code, 1, shortfall,
+                             f"{code}: week-1 demand exceeds the initial fleet by {shortfall}")
+
+
+def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: FleetParams,
+                 costs: CostParams, stats: Counter | None = None,
+                 ) -> list[tuple[ProcurementPlan, Decimal] | UnrepairableError]:
+    """repair() and simulate() fused, for many plans at once.
+
+    Returns, per plan, the repaired plan and its total cost, or the
+    UnrepairableError that ends its repair.  Each simulator-reported
+    shortfall is answered with the minimal extra purchase at the latest
+    week the one-week lead time allows (the week before the failure),
+    and that plan's simulation resumes from that week rather than from
+    scratch; weeks before the bump are unaffected by it.
+
+    One exception cuts a purchase instead of adding one: when a week's
+    instructor pool cannot cover the plan's own operator purchase and no
+    repair bump put that purchase there, the purchase is gratuitous and
+    gets clamped down to the instructable maximum.  Purchases repair
+    itself added express real downstream demand, so an instructor
+    shortfall on those cascades upstream as extra operator buys instead;
+    the cascade hitting week 1 (whose instructors can only come from the
+    initial stock) is genuinely unrepairable.  Week-1 vessel or operator
+    deployment shortfalls are likewise unrepairable: purchases arrive a
+    week too late.
+
+    Every kernel round steps each unfinished plan at its own week
+    cursor.  stats, if given, counts the rounds, the rows they stepped,
+    the bumps per shortfall code and the instructor clamps.
+    """
+    _check_horizon(plans, demand, params)
+    if not plans:
+        return []
+    k = kernel(demand, params, costs)
+    h, n = params.horizon, len(plans)
+    buys, dem = k.arrays(plans)
+    ready, in_use = k.start(n, buys.dtype)
+    # state after i completed weeks, and the cost of those weeks
+    ready_at = np.zeros((n, h + 1, 2, k.width), dtype=buys.dtype)
+    in_use_at = np.zeros_like(ready_at)
+    cost_at = np.zeros((n, h + 1), dtype=buys.dtype)
+    ready_at[:, 0] = ready
+    cursor = np.zeros(n, dtype=np.intp)
+    bumped_ops = np.zeros((n, h), dtype=bool)
+    stuck = np.zeros(n, dtype=np.intp)  # the week-1 shortfall code of an unrepairable plan
+    stuck_by = np.zeros(n, dtype=object)
+    # generous guard against a runaway loop; every bump adds >= 1 purchase
+    limit = 100 + 20 * (sum(demand) * 5 + h)
+    tries = np.zeros(n, dtype=np.int64)  # failed steps per plan
+    rounds = stepped = clamps = 0
+    bump_codes = [np.zeros(0, dtype=np.intp)]
+    rows = np.arange(n)
+    while rows.size:
+        rounds += 1
+        stepped += rows.size
+        i = cursor[rows]
+        w = step_week(ready_at[rows, i], in_use_at[rows, i], buys[rows, i], dem[i], k)
+        ok = w.code == 0
+        if ok.all():
+            r, j, ready, in_use, cost = rows, i, w.ready, w.in_use, w.cost
+        else:
+            r, j, ready, in_use, cost = rows[ok], i[ok], w.ready[ok], w.in_use[ok], w.cost[ok]
+            bad = ~ok
+            fr, fj, code, short = rows[bad], i[bad], w.code[bad], w.shortfall[bad]
+            tries[fr] += 1
+            if rounds > limit and tries.max() > limit:
+                raise RuntimeError("repair failed to converge; model invariant broken")
+            # a gratuitous intake: shrink it to what the instructors can
+            # teach and retry the week.  shortfall = 4R + ceil(ob/G) -
+            # available, hence the largest instructable intake is
+            # G*(ceil(ob/G) - shortfall).
+            clamp = (code == 3) & ~bumped_ops[fr, fj]
+            if clamp.any():
+                g = k.instruct_capacity
+                ob = buys[fr[clamp], fj[clamp], 1]
+                ob_max = g * (-(-ob // g) - short[clamp])
+                if np.any(ob_max >= ob):  # strict progress is guaranteed
+                    raise RuntimeError("instructor clamp failed to shrink the intake")
+                buys[fr[clamp], fj[clamp], 1] = np.maximum(ob_max, 0)
+                clamps += int(clamp.sum())
+                rest = ~clamp
+                fr, fj, code, short = fr[rest], fj[rest], code[rest], short[rest]
+            # buy the shortfall a week earlier and rerun from that week;
+            # week 1 has no earlier week
+            fj -= 1
+            if fj.min(initial=0) < 0:
+                first = fj < 0
+                stuck[fr[first]], stuck_by[fr[first]] = code[first], short[first]
+                cursor[fr[first]] = h
+                rest = ~first
+                fr, fj, code, short = fr[rest], fj[rest], code[rest], short[rest]
+            kind = np.minimum(code - 1, 1)  # vessels for a vessel shortfall, else operators
+            buys[fr, fj, kind] += short
+            bumped_ops[fr, fj] |= kind == 1
+            cursor[fr] = fj
+            bump_codes.append(code)
+            if buys.dtype != object and fr.size and buys[fr, fj, kind].max() > k.entry_limit:
+                buys, dem, ready_at, in_use_at, cost_at = (
+                    a.astype(object) for a in (buys, dem, ready_at, in_use_at, cost_at))
+        ready_at[r, j + 1] = ready
+        in_use_at[r, j + 1] = in_use
+        cost_at[r, j + 1] = cost_at[r, j] + cost
+        cursor[r] = j + 1
+        rows = rows[cursor[rows] < h]
+    if stats is not None:
+        bumps = np.bincount(np.concatenate(bump_codes), minlength=4).tolist()
+        stats.update({"kernel_rounds": rounds, "rows_stepped": stepped,
+                      "instructor_clamps": clamps, "bumps_vessels": bumps[1],
+                      "bumps_operators": bumps[2], "bumps_instructors": bumps[3]})
+    out = []
+    for b, plan_buys in enumerate(buys.tolist()):
+        if stuck[b]:
+            out.append(_unrepairable(SHORTFALL_CODES[stuck[b]], int(stuck_by[b]), demand, params))
+        else:
+            vessel, operator = zip(*plan_buys)
+            out.append((ProcurementPlan(vessel, operator), k.decimal(cost_at[b, h], True)))
+    return out
+
+
+def repair(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
+           costs: CostParams) -> ProcurementPlan:
+    """Make a plan feasible by adding purchases, or return it unchanged;
+    repair_batch for one plan.  A failure in week 1 cannot be bought out
+    of, so it raises UnrepairableError."""
+    [got] = repair_batch([plan], demand, params, costs)
+    if isinstance(got, UnrepairableError):
+        raise got
+    return got[0]
+
+
+def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
+                        params: FleetParams, costs: CostParams,
+                        ) -> tuple[ProcurementPlan, Schedule]:
+    """The repaired plan and its schedule."""
+    fixed = repair(plan, demand, params, costs)
+    return fixed, simulate(fixed, demand, params, costs)
 
 
 def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
@@ -422,101 +672,6 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
         prev_own_v = own_v
         prev_deployed = rec.robots_deployed
     return out
-
-
-def repair_and_simulate(plan: ProcurementPlan, demand: DemandSeries,
-                        params: FleetParams, costs: CostParams,
-                        ) -> tuple[ProcurementPlan, Schedule]:
-    """repair() and simulate() fused into one pass.
-
-    Each simulator-reported shortfall is answered with the minimal extra
-    purchase at the latest week the one-week lead time allows (the week
-    before the failure), and the simulation resumes from that week rather
-    than from scratch; weeks before the bump are unaffected by it.
-
-    One exception cuts a purchase instead of adding one: when a week's
-    instructor pool cannot cover the plan's own operator purchase and no
-    repair bump put that purchase there, the purchase is gratuitous and
-    gets clamped down to the instructable maximum.  Purchases repair
-    itself added express real downstream demand, so an instructor
-    shortfall on those cascades upstream as extra operator buys instead;
-    the cascade hitting week 1 (whose instructors can only come from the
-    initial stock) is genuinely unrepairable.  Week-1 vessel or operator
-    deployment shortfalls are likewise unrepairable: purchases arrive a
-    week too late.  Returns the feasible plan and its schedule.
-    """
-    _check_horizon(plan, demand, params)
-    vessel = list(plan.vessel_buys)
-    operator = list(plan.operator_buys)
-    # states[i] is the state after i completed weeks; records[i] covers week i+1
-    states = [FleetState.initial(params)]
-    records: list[WeekRecord] = []
-    # generous guard against a runaway loop; every bump adds >= 1 purchase
-    limit = 100 + 20 * (sum(demand) * 5 + len(demand))
-    bumps = 0
-    bumped_ops: set[int] = set()
-    i = 0
-    while i < params.horizon:
-        try:
-            state, record = step_week(states[i], (vessel[i], operator[i]),
-                                      demand[i], params, costs)
-        except InfeasibleError as err:
-            bumps += 1
-            if bumps > limit:
-                raise RuntimeError(
-                    "repair failed to converge; model invariant broken") from None
-            if err.code == INSUFFICIENT_INSTRUCTORS and i not in bumped_ops:
-                # the plan's own purchase for this week outstrips the
-                # instructor pool and no repair bump put it there: the
-                # purchase is gratuitous, so shrink it and retry the week.
-                # shortfall = 4R + ceil(ob/G) - available, hence the
-                # largest instructable intake is G*(ceil(ob/G) - shortfall).
-                g = params.instruct_capacity
-                ob_max = g * (ceil_div(operator[i], g) - err.shortfall)
-                if ob_max >= operator[i]:  # strict progress is guaranteed
-                    raise RuntimeError(
-                        "instructor clamp failed to shrink the intake"
-                    ) from None
-                operator[i] = max(0, ob_max)
-                continue
-            if i == 0:
-                if err.code == INSUFFICIENT_INSTRUCTORS:
-                    cap = params.instruct_capacity * (
-                        params.initial_operators - 4 * demand[0])
-                    raise UnrepairableError(
-                        1, f"{err.code}: later weeks need more trained "
-                           f"operators than the initial stock can instruct "
-                           f"(at most {cap} week-1 trainees)") from None
-                raise UnrepairableError(
-                    1, f"{err.code}: week-1 demand exceeds the initial fleet "
-                       f"by {err.shortfall}") from None
-            # buy the shortfall a week earlier and rerun from that week
-            i -= 1
-            if err.code == INSUFFICIENT_VESSELS:
-                vessel[i] += err.shortfall
-            else:
-                operator[i] += err.shortfall
-                bumped_ops.add(i)
-            states.pop()
-            records.pop()
-            continue
-        states.append(state)
-        records.append(record)
-        i += 1
-    return ProcurementPlan(tuple(vessel), tuple(operator)), Schedule(tuple(records))
-
-
-def repair(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
-           costs: CostParams) -> ProcurementPlan:
-    """Make a plan feasible by adding purchases, or return it unchanged.
-
-    Each simulator-reported shortfall is answered with the minimal extra
-    purchase at the latest week the one-week lead time allows (the week
-    before the failure).  A failure in week 1 cannot be bought out of,
-    so it raises UnrepairableError.
-    """
-    fixed, _ = repair_and_simulate(plan, demand, params, costs)
-    return fixed
 
 
 def _totals_row(schedule: Schedule) -> list:

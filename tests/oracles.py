@@ -2,10 +2,12 @@
 
 brute_force_optimum is an exhaustive solver for tiny instances.  It
 enumerates every purchase plan with per-week buys in 0..max_buy by
-depth-first search over weeks, stepping the real simulator one week at
-a time.  Weekly costs are nonnegative, so any prefix whose cost already
-reaches the incumbent can be pruned; the incumbent starts from the
-greedy solution to make that pruning bite.  Small horizons only.
+depth-first search over weeks, stepping all (max_buy+1)^2 purchase
+choices of a node through the real simulator's week kernel as one
+batch.  Weekly costs are nonnegative, so any prefix whose cost already
+reaches the incumbent can be pruned when the search visits it; the
+incumbent starts from the greedy solution to make that pruning bite.
+Small horizons only.
 
 reference_simulate is a per-unit simulator: it keeps one wear value
 (accumulated maintenance weeks) per unit and shares no code with
@@ -16,9 +18,11 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 from fleetplan.greedy import reduce_plan, seed_plan
-from fleetplan.model import FleetState, InfeasibleError, step_week
+from fleetplan.model import kernel, step_week
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -38,14 +42,25 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
     seeded, _ = reduce_plan(seed_plan(demand, params, costs), demand, params, costs)
     if max(seeded.vessel_buys + seeded.operator_buys, default=0) > max_buy:
         raise ValueError("greedy seed exceeds max_buy; instance outside oracle domain")
-    best_cost = _plan_cost(seeded, demand, params, costs)
+    k = kernel(demand, params, costs)
+    # every (vessel, operator) choice of a week, vessels major, one row each
+    choices, dem = k.arrays([ProcurementPlan((cb,), (ob,)) for cb in range(max_buy + 1)
+                             for ob in range(max_buy + 1)])
+    choices = choices[:, 0]
+    n = len(choices)
+    seeded_buys, _ = k.arrays([seeded])
+    ready, in_use = k.start(1, choices.dtype)
+    best_cost = 0
+    for i in range(horizon):
+        week = step_week(ready, in_use, seeded_buys[:, i], dem[i:i + 1], k)
+        ready, in_use, best_cost = week.ready, week.in_use, best_cost + int(week.cost[0])
     best_plan = seeded
 
     nodes = 0
     vessel: list[int] = []
     operator: list[int] = []
 
-    def dfs(i: int, state: FleetState, cost: Decimal) -> None:
+    def dfs(i: int, ready: np.ndarray, in_use: np.ndarray, cost: int) -> None:
         nonlocal nodes, best_cost, best_plan
         nodes += 1
         if nodes > node_cap:
@@ -56,29 +71,23 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
                 best_cost = cost
                 best_plan = ProcurementPlan(tuple(vessel), tuple(operator))
             return
-        for cb in range(max_buy + 1):
-            for ob in range(max_buy + 1):
-                try:
-                    nxt_state, record = step_week(state, (cb, ob), demand[i], params, costs)
-                except InfeasibleError:
-                    continue
-                nxt_cost = cost + record.week_cost
-                if nxt_cost >= best_cost:
-                    continue
-                vessel.append(cb)
-                operator.append(ob)
-                dfs(i + 1, nxt_state, nxt_cost)
-                vessel.pop()
-                operator.pop()
+        week = step_week(ready.repeat(n, axis=0), in_use.repeat(n, axis=0), choices,
+                         dem[i:i + 1].repeat(n), k)
+        staffed = (week.code == 0).tolist()
+        next_costs = (cost + week.cost).tolist()
+        for c, (cb, ob) in enumerate(choices.tolist()):
+            # the incumbent may have improved since this node was stepped
+            if not staffed[c] or next_costs[c] >= best_cost:
+                continue
+            vessel.append(cb)
+            operator.append(ob)
+            dfs(i + 1, week.ready[c:c + 1], week.in_use[c:c + 1], next_costs[c])
+            vessel.pop()
+            operator.pop()
 
-    dfs(0, FleetState.initial(params), Decimal(0))
-    return best_plan, best_cost
-
-
-def _plan_cost(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
-               costs: CostParams) -> Decimal:
-    from fleetplan.model import simulate
-    return simulate(plan, demand, params, costs).total_cost
+    ready, in_use = k.start(1, choices.dtype)
+    dfs(0, ready, in_use, 0)
+    return best_plan, k.decimal(best_cost, total=True)
 
 
 class ReferenceShortfall(Exception):

@@ -3,15 +3,15 @@
 import dataclasses
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 from fleetplan.model import (
-    InfeasibleError, Schedule, ScheduleFormatError, UnrepairableError, WeekRecord,
-    discard_operator, discard_vessel, read_schedule_csv, repair,
-    repair_and_simulate, simulate, step_week, validate,
-    write_schedule_csv, FleetState,
+    SHORTFALL_CODES, InfeasibleError, Schedule, ScheduleFormatError, UnrepairableError,
+    WeekRecord, discard_operator, discard_vessel, kernel, read_schedule_csv, repair,
+    repair_and_simulate, simulate, step_week, validate, write_schedule_csv,
 )
 from oracles import ReferenceShortfall, reference_simulate
 
@@ -117,28 +117,29 @@ class TestStepWeek:
             sched.records[wk].operators_maint * Decimal("10"))
 
     def test_week1_shortfall_precedence(self):
-        d = DemandSeries((1,))
-        with pytest.raises(InfeasibleError) as e:
-            step_week(FleetState.initial(params(0, 0)), (0, 0), 1, params(0, 0), COSTS)
-        assert e.value.code == "INSUFFICIENT_VESSELS"
-        with pytest.raises(InfeasibleError) as e:
-            step_week(FleetState.initial(params(1, 0)), (0, 0), 1, params(1, 0), COSTS)
-        assert e.value.code == "INSUFFICIENT_OPERATORS"
-        assert e.value.shortfall == 4
-        # operators cover the crews exactly, so the instructor reservation
-        # for a same-week hire is what breaks
-        with pytest.raises(InfeasibleError) as e:
-            step_week(FleetState.initial(params(1, 4)), (0, 1), 1, params(1, 4), COSTS)
-        assert e.value.code == "INSUFFICIENT_INSTRUCTORS"
-        assert e.value.shortfall == 1
-        del d
+        # one batch, one row per fleet: no vessels; a vessel but no crew;
+        # a crew exactly, so the instructor for a same-week hire is what
+        # breaks; and a fleet that staffs the week
+        rows = [(0, 0, (0, 0)), (1, 0, (0, 0)), (1, 4, (0, 1)), (1, 5, (0, 1))]
+        demand = DemandSeries((1,))
+        k = kernel(demand, params(0, 0), COSTS)
+        ready, in_use = k.start(len(rows), np.int64)
+        ready[:, :, 0] = [(v, o) for v, o, _ in rows]
+        week = step_week(ready, in_use, np.array([b for _, _, b in rows]),
+                         np.ones(len(rows), dtype=np.int64), k)
+        assert [SHORTFALL_CODES[c] for c in week.code] == [
+            "INSUFFICIENT_VESSELS", "INSUFFICIENT_OPERATORS", "INSUFFICIENT_INSTRUCTORS", None]
+        assert week.shortfall[:3].tolist() == [1, 4, 1]
+        assert (week.instructors[3], week.cost[3]) == (1, 50 + 2 * 20)
 
     def test_rejects_negative_args(self):
-        st0 = FleetState.initial(params(1, 4))
+        k = kernel(DemandSeries((0,)), params(1, 4), COSTS)
+        ready, in_use = k.start(2, np.int64)
+        zero = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError):
-            step_week(st0, (-1, 0), 0, params(1, 4), COSTS)
+            step_week(ready, in_use, np.array([(0, 0), (-1, 0)]), zero, k)
         with pytest.raises(ValueError):
-            step_week(st0, (0, 0), -1, params(1, 4), COSTS)
+            step_week(ready, in_use, np.zeros((2, 2), dtype=np.int64), zero - 1, k)
 
 
 class TestCostAggregation:
