@@ -144,12 +144,12 @@ def selection_weights(costs_: list[Decimal]) -> list[float]:
     return [float(top - c) + 1.0 for c in costs_]
 
 
-def roulette_select(population: list[ProcurementPlan], costs_: list[Decimal],
+def roulette_select(population: list[ProcurementPlan], weights: list[float],
                     rng: Random) -> tuple[ProcurementPlan, ProcurementPlan]:
-    """Two independent draws, lower cost means proportionally higher odds."""
-    if len(population) != len(costs_) or not population:
-        raise ValueError("population and fitness lists must match and be nonempty")
-    weights = selection_weights(costs_)
+    """Two independent draws, each plan with odds in proportion to its
+    selection weight."""
+    if len(population) != len(weights) or not population:
+        raise ValueError("population and weight lists must match and be nonempty")
     i, j = rng.choices(range(len(population)), weights=weights, k=2)
     return population[i], population[j]
 
@@ -170,10 +170,11 @@ def crossover(a: ProcurementPlan, b: ProcurementPlan, rng: Random,
 def mutate(plan: ProcurementPlan, magnitude: int, config: SolverConfig,
            rng: Random) -> ProcurementPlan:
     """Per-gene jitter of up to +-magnitude units, floored at zero."""
-    genes = list(plan.vessel_buys) + list(plan.operator_buys)
-    for i in range(len(genes)):
-        if rng.random() < config.base_mutation_rate:
-            genes[i] = max(0, genes[i] + rng.randint(-magnitude, magnitude))
+    genes = [*plan.vessel_buys, *plan.operator_buys]
+    rate, gate, jitter = config.base_mutation_rate, rng.random, rng.randint
+    for i, gene in enumerate(genes):
+        if gate() < rate:
+            genes[i] = max(0, gene + jitter(-magnitude, magnitude))
     h = plan.horizon
     return ProcurementPlan(tuple(genes[:h]), tuple(genes[h:]))
 
@@ -274,13 +275,14 @@ def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
     """
     plans = [p for p, _ in population]
     costs_ = [c for _, c in population]
+    weights = selection_weights(costs_)
     best_idx = min(range(len(costs_)), key=lambda k: costs_[k])
     nxt = [population[best_idx]]
     magnitude = 1 if temperature is None else mutation_magnitude(temperature, config)
     while (short := config.population_size - len(nxt)) > 0:
         children = []
         for _ in range(-(-short // 2)):
-            pa, pb = roulette_select(plans, costs_, rng)
+            pa, pb = roulette_select(plans, weights, rng)
             children += [mutate(child, magnitude, config, rng)
                          for child in crossover(pa, pb, rng, config.crossover_rate)]
         outcomes = evaluate.batch(children)

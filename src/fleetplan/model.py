@@ -23,8 +23,8 @@ Within a week the fixed order of events is:
 
 Money inside the kernel is integer: each price is scaled by 10^-e, where
 e is the smallest exponent among the config's prices, and a cost turns
-back into the Decimal that Decimal arithmetic on the prices gives only
-when it leaves the kernel.  Arrays are int64 when a bound computed from
+back into the Decimal that exact arithmetic on the prices gives only
+when it leaves the kernel, so a week's cost is exact at any size.  Arrays are int64 when a bound computed from
 the instance (initial stock, demand, prices, the attrition ratio and
 the largest plan entry) proves that no intermediate can overflow, and
 Python ints (dtype=object) otherwise; the same statements run either way.
@@ -45,7 +45,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import MAX_PREC, Decimal, InvalidOperation, Overflow, localcontext
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -208,22 +208,26 @@ class Kernel:
     def arrays(self, plans: list[ProcurementPlan]) -> tuple[np.ndarray, np.ndarray]:
         """(buys, demand): buys[b, i] = (vessel, operator) buys of plan b in
         week i+1, and the demand series, int64 when the bound allows."""
-        rows = [tuple(zip(p.vessel_buys, p.operator_buys)) for p in plans]
+        rows = [p.vessel_buys + p.operator_buys for p in plans]
         try:
             buys = np.array(rows, dtype=np.int64)
-            if buys.max() <= self.entry_limit:
-                return buys, np.array(self.demand.values, dtype=np.int64)
+            dtype = np.int64 if buys.max() <= self.entry_limit else object
         except OverflowError:
-            pass
-        return np.array(rows, dtype=object), np.array(self.demand.values, dtype=object)
+            dtype = object
+        if dtype is object:
+            buys = np.array(rows, dtype=object)
+        return (buys.reshape(len(plans), 2, -1).transpose(0, 2, 1),
+                np.array(self.demand.values, dtype=dtype))
 
     def decimal(self, cost, total: bool = False) -> Decimal:
-        """A kernel cost as the Decimal that the prices' Decimal arithmetic
-        gives: a week's terms share the least price exponent, and a total
-        sums from Decimal(0), so its exponent is at most 0.  Beyond
-        Decimal's precision both round to it."""
+        """A kernel cost as the Decimal that exact arithmetic on the
+        prices gives: a week's terms share the least price exponent.  A
+        total sums from Decimal(0), so its exponent is at most 0, and,
+        like Schedule.total_cost, it rounds to Decimal's precision."""
         n, e = int(cost), self.exponent
-        if total and e > 0:
+        if not total:
+            return Decimal(f"{n}E{e}")
+        if e > 0:
             n, e = n * 10 ** e, 0
         return +Decimal(f"{n}E{e}")
 
@@ -286,7 +290,6 @@ class Week(NamedTuple):
     discards: np.ndarray  # (B, 2)
     maint: np.ndarray  # (B, 2) units in the shop
     instructors: np.ndarray  # (B,)
-    owned: np.ndarray  # (B, 2) at the end of the week
 
 
 def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: np.ndarray,
@@ -304,21 +307,25 @@ def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: n
 
     # attrition strikes last week's working units; survivors go to the shop
     if k.num:
-        worked = in_use.sum(axis=2)
+        upto = np.add.accumulate(in_use, axis=2)
+        worked = upto[:, :, -1]
         destroyed = (2 * k.num * worked + k.den) // (2 * k.den)
-        survivors = in_use - _take(in_use, np.cumsum(in_use, axis=2) - in_use, destroyed)
+        survivors = in_use - _take(in_use, upto - in_use, destroyed)
+        surviving = worked - destroyed
     else:
         destroyed = np.zeros(in_use.shape[:2], dtype=in_use.dtype)
         survivors = in_use
+        surviving = in_use.sum(axis=2)
     # one more week of wear; the units it takes to their kind's first
     # discard wear are discarded on entry, take no slot and cost nothing
     discards = survivors[:, _KINDS, k.last_wear]
+    shop = surviving - discards
     maint = np.zeros_like(survivors)
     maint[:, :, 1:] = np.where(k.keep, survivors, 0)[:, :, :-1]
-    shop = maint.sum(axis=2)
 
     # crews and instructors against the ready pools
-    avail = ready.sum(axis=2)
+    upto = np.add.accumulate(ready, axis=2)
+    avail = upto[:, :, -1]
     instructors = -(-buys[:, 1] // k.instruct_capacity)
     need = np.multiply.outer(demand, _CREW)
     need[:, 1] += instructors
@@ -330,7 +337,7 @@ def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: n
     shortfall = np.where(lack_v, short_v, np.where(lack_o, short_o, np.where(lack_g, short_g, 0)))
 
     # instructors, then crews, then vessels, each lowest wear first
-    before = np.cumsum(ready, axis=2) - ready
+    before = upto - ready
     use = _take(ready, before, need)
     use[:, 1] -= _take(ready[:, 1], before[:, 1], instructors)
     # next week's ready pools: the idle, the shop, the instructors and the intake
@@ -338,9 +345,7 @@ def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: n
     nxt[:, :, 0] += buys
 
     cost = buys @ k.buy_prices + shop @ k.shop_prices + instructors * k.training_price
-    # everything available pre-deployment plus the shop and the intake
-    owned = avail + shop + buys
-    return Week(code, shortfall, nxt, use, cost, destroyed, discards, shop, instructors, owned)
+    return Week(code, shortfall, nxt, use, cost, destroyed, discards, shop, instructors)
 
 
 def _check_horizon(plans: list[ProcurementPlan], demand: DemandSeries,
@@ -365,8 +370,10 @@ def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
         if w.code[0]:
             raise InfeasibleError(SHORTFALL_CODES[w.code[0]], i + 1, int(w.shortfall[0]))
         ready, in_use = w.ready, w.in_use
+        # everything owned at the end of the week is ready for the next or deployed
+        owned = ready.sum(axis=2) + in_use.sum(axis=2)
         (cb, ob), (dv, do), (sv, so), (mv, mo), (ov, oo) = (
-            a[0].tolist() for a in (buys[:, i], w.discards, w.destroyed, w.maint, w.owned))
+            a[0].tolist() for a in (buys[:, i], w.discards, w.destroyed, w.maint, owned))
         records.append(WeekRecord(i + 1, cb, ob, dv, do, sv, so, mv, mo,
                                   int(w.instructors[0]), ob, int(dem[i]),
                                   k.decimal(w.cost[0]), ov, oo))
@@ -441,15 +448,18 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
         return []
     k = kernel(demand, params, costs)
     h, n = params.horizon, len(plans)
+    span = h + 1
+    # slot b*span + i holds plan b's state after i completed weeks, the
+    # purchases and demand of week i+1, and the cost of week i
     buys, dem = k.arrays(plans)
-    ready, in_use = k.start(n, buys.dtype)
-    # state after i completed weeks, and the cost of those weeks
-    ready_at = np.zeros((n, h + 1, 2, k.width), dtype=buys.dtype)
+    buys = np.concatenate((buys, np.zeros_like(buys[:, :1])), axis=1).reshape(-1, 2)
+    dem = np.tile(np.append(dem, 0), n)
+    ready_at = np.zeros((n * span, 2, k.width), dtype=buys.dtype)
     in_use_at = np.zeros_like(ready_at)
-    cost_at = np.zeros((n, h + 1), dtype=buys.dtype)
-    ready_at[:, 0] = ready
-    cursor = np.zeros(n, dtype=np.intp)
-    bumped_ops = np.zeros((n, h), dtype=bool)
+    cost_of = np.zeros(n * span, dtype=buys.dtype)
+    ready_at[::span] = k.start(n, buys.dtype)[0]
+    bumped_ops = np.zeros(n * span, dtype=bool)
+    pos = np.arange(0, n * span, span)  # each plan's week cursor, as a slot
     stuck = np.zeros(n, dtype=np.intp)  # the week-1 shortfall code of an unrepairable plan
     stuck_by = np.zeros(n, dtype=object)
     # generous guard against a runaway loop; every bump adds >= 1 purchase
@@ -461,15 +471,15 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     while rows.size:
         rounds += 1
         stepped += rows.size
-        i = cursor[rows]
-        w = step_week(ready_at[rows, i], in_use_at[rows, i], buys[rows, i], dem[i], k)
+        at = pos[rows]
+        w = step_week(ready_at[at], in_use_at[at], buys[at], dem[at], k)
         ok = w.code == 0
         if ok.all():
-            r, j, ready, in_use, cost = rows, i, w.ready, w.in_use, w.cost
+            r, done, ready, in_use, cost = rows, at, w.ready, w.in_use, w.cost
         else:
-            r, j, ready, in_use, cost = rows[ok], i[ok], w.ready[ok], w.in_use[ok], w.cost[ok]
+            r, done, ready, in_use, cost = rows[ok], at[ok], w.ready[ok], w.in_use[ok], w.cost[ok]
             bad = ~ok
-            fr, fj, code, short = rows[bad], i[bad], w.code[bad], w.shortfall[bad]
+            fr, fat, code, short = rows[bad], at[bad], w.code[bad], w.shortfall[bad]
             tries[fr] += 1
             if rounds > limit and tries.max() > limit:
                 raise RuntimeError("repair failed to converge; model invariant broken")
@@ -477,52 +487,51 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
             # teach and retry the week.  shortfall = 4R + ceil(ob/G) -
             # available, hence the largest instructable intake is
             # G*(ceil(ob/G) - shortfall).
-            clamp = (code == 3) & ~bumped_ops[fr, fj]
+            clamp = (code == 3) & ~bumped_ops[fat]
             if clamp.any():
                 g = k.instruct_capacity
-                ob = buys[fr[clamp], fj[clamp], 1]
+                ob = buys[fat[clamp], 1]
                 ob_max = g * (-(-ob // g) - short[clamp])
                 if np.any(ob_max >= ob):  # strict progress is guaranteed
                     raise RuntimeError("instructor clamp failed to shrink the intake")
-                buys[fr[clamp], fj[clamp], 1] = np.maximum(ob_max, 0)
+                buys[fat[clamp], 1] = np.maximum(ob_max, 0)
                 clamps += int(clamp.sum())
                 rest = ~clamp
-                fr, fj, code, short = fr[rest], fj[rest], code[rest], short[rest]
+                fr, fat, code, short = fr[rest], fat[rest], code[rest], short[rest]
             # buy the shortfall a week earlier and rerun from that week;
             # week 1 has no earlier week
-            fj -= 1
-            if fj.min(initial=0) < 0:
-                first = fj < 0
-                stuck[fr[first]], stuck_by[fr[first]] = code[first], short[first]
-                cursor[fr[first]] = h
-                rest = ~first
-                fr, fj, code, short = fr[rest], fj[rest], code[rest], short[rest]
+            week1 = fat % span == 0
+            if week1.any():
+                stuck[fr[week1]], stuck_by[fr[week1]] = code[week1], short[week1]
+                pos[fr[week1]] = fat[week1] + h
+                rest = ~week1
+                fr, fat, code, short = fr[rest], fat[rest], code[rest], short[rest]
+            fat -= 1
             kind = np.minimum(code - 1, 1)  # vessels for a vessel shortfall, else operators
-            buys[fr, fj, kind] += short
-            bumped_ops[fr, fj] |= kind == 1
-            cursor[fr] = fj
+            buys[fat, kind] += short
+            bumped_ops[fat] |= kind == 1
+            pos[fr] = fat
             bump_codes.append(code)
-            if buys.dtype != object and fr.size and buys[fr, fj, kind].max() > k.entry_limit:
-                buys, dem, ready_at, in_use_at, cost_at = (
-                    a.astype(object) for a in (buys, dem, ready_at, in_use_at, cost_at))
-        ready_at[r, j + 1] = ready
-        in_use_at[r, j + 1] = in_use
-        cost_at[r, j + 1] = cost_at[r, j] + cost
-        cursor[r] = j + 1
-        rows = rows[cursor[rows] < h]
+            if buys.dtype != object and fr.size and buys[fat, kind].max() > k.entry_limit:
+                buys, dem, ready_at, in_use_at, cost_of = (
+                    a.astype(object) for a in (buys, dem, ready_at, in_use_at, cost_of))
+        done += 1
+        ready_at[done] = ready
+        in_use_at[done] = in_use
+        cost_of[done] = cost
+        pos[r] = done
+        rows = rows[pos[rows] % span < h]
     if stats is not None:
         bumps = np.bincount(np.concatenate(bump_codes), minlength=4).tolist()
         stats.update({"kernel_rounds": rounds, "rows_stepped": stepped,
                       "instructor_clamps": clamps, "bumps_vessels": bumps[1],
                       "bumps_operators": bumps[2], "bumps_instructors": bumps[3]})
-    out = []
-    for b, plan_buys in enumerate(buys.tolist()):
-        if stuck[b]:
-            out.append(_unrepairable(SHORTFALL_CODES[stuck[b]], int(stuck_by[b]), demand, params))
-        else:
-            vessel, operator = zip(*plan_buys)
-            out.append((ProcurementPlan(vessel, operator), k.decimal(cost_at[b, h], True)))
-    return out
+    totals = cost_of.reshape(n, span).sum(axis=1).tolist()
+    fixed = buys.reshape(n, span, 2)[:, :h].transpose(0, 2, 1).tolist()
+    return [_unrepairable(SHORTFALL_CODES[stuck[b]], int(stuck_by[b]), demand, params)
+            if stuck[b] else
+            (ProcurementPlan(*fixed[b]) if tries[b] else plan, k.decimal(totals[b], True))
+            for b, plan in enumerate(plans)]
 
 
 def repair(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
@@ -554,8 +563,8 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
     and each week must carry its own number and satisfy demand coverage,
     operator balance, instructor count, maintenance turnover, purchase
     lead times, the attrition account, and nonnegativity.  Each week_cost
-    must equal its counts times the prices; the total is their sum by
-    construction, and a file's totals row is checked by its reader.
+    must equal its counts times the prices exactly; the total is their
+    sum by construction, and a file's totals row is checked by its reader.
     """
     out: list[Violation] = []
     records = schedule.records
@@ -579,12 +588,13 @@ def validate(schedule: Schedule, demand: DemandSeries, params: FleetParams,
             value = getattr(rec, name)
             if value < 0:
                 out.append(Violation(week, "NONNEG", f"{name} is negative: {value}"))
-        # cost account: the week's charge follows from its counts
-        want_cost = (rec.vessel_buys * costs.vessel_price
-                     + rec.operator_buys * costs.operator_price
-                     + (rec.instructors + rec.trainees) * costs.training_price
-                     + rec.vessels_maint * costs.vessel_maint_price
-                     + rec.operators_maint * costs.operator_maint_price)
+        # cost account: the week's charge follows from its counts, exactly
+        with localcontext(prec=MAX_PREC):
+            want_cost = (rec.vessel_buys * costs.vessel_price
+                         + rec.operator_buys * costs.operator_price
+                         + (rec.instructors + rec.trainees) * costs.training_price
+                         + rec.vessels_maint * costs.vessel_maint_price
+                         + rec.operators_maint * costs.operator_maint_price)
         if rec.week_cost != want_cost:
             out.append(Violation(week, "COST_ACCOUNT",
                                  f"week_cost={rec.week_cost}, counts at the prices give {want_cost}"))

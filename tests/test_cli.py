@@ -239,6 +239,30 @@ class TestSolveValidate:
         # that may differ
         assert (out_a / "run.manifest").exists()
 
+    def test_solve_counters(self, workdir, capsys):
+        out_a, out_b = workdir / "stats_a", workdir / "stats_b"
+        args = ["solve", "--config", workdir / "config.txt",
+                "--demand", workdir / "demand.csv", "--seed", 3] + FAST_SOLVE
+        assert run(args + ["--out-dir", out_a]) == 0
+        assert run(args + ["--out-dir", out_b]) == 0
+        capsys.readouterr()
+        assert (out_a / "stats.csv").read_bytes() == (out_b / "stats.csv").read_bytes()
+        lines = (out_a / "stats.csv").read_text().splitlines()
+        assert lines[0] == "counter,value"
+        stats = {name: int(value) for name, value in (line.split(",") for line in lines[1:])}
+        assert list(stats) == ["evaluations", "cache_hits", "unrepairable", "bumps_vessels",
+                               "bumps_operators", "bumps_instructors", "instructor_clamps",
+                               "rows_stepped", "kernel_rounds", "greedy_reductions"]
+        manifest = dict(line.split(" = ", 1)
+                        for line in (out_a / "run.manifest").read_text().splitlines())
+        assert stats["evaluations"] == int(manifest["evals_total"])
+        # every evaluation steps at least the horizon's six weeks
+        assert stats["rows_stepped"] >= 6 * stats["evaluations"]
+        assert 6 <= stats["kernel_rounds"] <= stats["rows_stepped"]
+        # wall times go to the manifest only
+        for phase in ("seed_reduce_ms", "ga_loop_ms", "final_simulate_ms"):
+            assert int(manifest[phase]) >= 0
+
 
 class TestForecastCommand:
     @pytest.fixture
@@ -445,6 +469,35 @@ class TestFuzzedSchedule:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = run(["validate", *files, "--schedule", path])
         assert code in (0, 4)
+
+
+class TestFuzzedDemand:
+    """A demand CSV with one cell replaced ends in a documented exit code
+    under solve and under validate, never a traceback out of main()."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.integers(1, len(DEMAND)), col=st.integers(0, 1),
+           text=st.one_of(st.integers(-10 ** 40, 10 ** 40).map(str),
+                          st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "", "week",
+                                           "demand", "1.5", "1e3", "-0", " 2"]),
+                          st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)))
+    @example(row=3, col=1, text=str(10 ** 30))  # past int64: the kernel runs on Python ints
+    def test_demand_cell(self, solved_k20, row, col, text):
+        files, schedule = solved_k20
+        rows = [line.split(",") for line in files[3].read_text().splitlines()]
+        rows[row][col] = text
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            demand = tmp / "demand.csv"
+            demand.write_text("\n".join(",".join(r) for r in rows) + "\n")
+            (tmp / "schedule.csv").write_text(schedule)
+            inputs = ["--config", files[1], "--demand", demand, "--scenario", "k20"]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                solved = run(["solve", *inputs, "--out-dir", tmp / "run", "--population", 4,
+                              "--max-evals", 20])
+                checked = run(["validate", *inputs, "--schedule", tmp / "schedule.csv"])
+        assert solved in range(6)
+        assert checked in range(6)
 
 
 class TestConsoleScript:

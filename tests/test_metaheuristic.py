@@ -75,8 +75,8 @@ class TestVariationOperators:
     def test_roulette_prefers_cheap(self):
         a, b = ProcurementPlan((1,), (0,)), ProcurementPlan((0,), (1,))
         rng = Random(1)
-        picks = [roulette_select([a, b], [Decimal(100), Decimal(300)], rng)
-                 for _ in range(500)]
+        weights = selection_weights([Decimal(100), Decimal(300)])
+        picks = [roulette_select([a, b], weights, rng) for _ in range(500)]
         flat = [p for pair in picks for p in pair]
         # expected share for the cheap plan is 201/202
         assert flat.count(a) > 950

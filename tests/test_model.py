@@ -1,7 +1,7 @@
 """Simulator, cost model, validator, and repair."""
 
 import dataclasses
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementP
 from fleetplan.model import (
     SHORTFALL_CODES, InfeasibleError, Schedule, ScheduleFormatError, UnrepairableError,
     WeekRecord, discard_operator, discard_vessel, kernel, read_schedule_csv, repair,
-    repair_and_simulate, simulate, step_week, validate, write_schedule_csv,
+    repair_and_simulate, repair_batch, simulate, simulate_batch, step_week, validate,
+    write_schedule_csv,
 )
 from oracles import ReferenceShortfall, reference_simulate
 
@@ -22,6 +23,12 @@ COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
 def params(iv, io, g=10, k="0", horizon=1):
     return FleetParams(instruct_capacity=g, attrition_rate=Decimal(k),
                        initial_vessels=iv, initial_operators=io, horizon=horizon)
+
+
+def draw_plan(data, horizon):
+    return ProcurementPlan(
+        tuple(data.draw(st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))),
+        tuple(data.draw(st.lists(st.integers(0, 8), min_size=horizon, max_size=horizon))))
 
 
 def draw_instance(data):
@@ -37,10 +44,7 @@ def draw_instance(data):
                                                                      "0.5"]))),
                     initial_vessels=data.draw(st.integers(0, 8)),
                     initial_operators=data.draw(st.integers(0, 36)), horizon=horizon)
-    plan = ProcurementPlan(
-        tuple(data.draw(st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))),
-        tuple(data.draw(st.lists(st.integers(0, 8), min_size=horizon, max_size=horizon))))
-    return plan, demand, p, costs
+    return draw_plan(data, horizon), demand, p, costs
 
 
 class TestDiscardRules:
@@ -387,6 +391,95 @@ class TestReferenceSimulator:
             return
         assert self._check(fixed, demand, p, costs)
         assert sched == simulate(fixed, demand, p, costs)
+
+
+def _scaled(plan, factor):
+    return ProcurementPlan(tuple(v * factor for v in plan.vessel_buys),
+                           tuple(o * factor for o in plan.operator_buys))
+
+
+class TestBatch:
+    """repair_batch and simulate_batch against per-plan calls and the
+    per-unit reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_match_per_plan_calls(self, data):
+        plan, demand, p, costs = draw_instance(data)
+        big = 2 ** 63 + data.draw(st.integers(0, 5))
+        if data.draw(st.booleans()):
+            # the whole instance past int64, so Python ints from the start
+            demand = DemandSeries(tuple(d * big for d in demand))
+            p = dataclasses.replace(p, initial_vessels=p.initial_vessels * big,
+                                    initial_operators=p.initial_operators * big)
+        rows = [plan] + [draw_plan(data, p.horizon) for _ in range(data.draw(st.integers(0, 4)))]
+        # a duplicate row, and a row scaled past int64 that widens the batch
+        rows.append(data.draw(st.sampled_from(rows)))
+        if data.draw(st.booleans()):
+            rows.append(_scaled(data.draw(st.sampled_from(rows)), big))
+        repaired = repair_batch(rows, demand, p, costs)
+        simulated = simulate_batch(rows, demand, p, costs)
+        small = max(p.initial_vessels, p.initial_operators, *demand) < 1000
+        for row, got, cost in zip(rows, repaired, simulated):
+            try:
+                want_sched = simulate(row, demand, p, costs)
+            except InfeasibleError as err:
+                assert (cost.week, cost.code, cost.shortfall) == (err.week, err.code, err.shortfall)
+            else:
+                assert str(cost) == str(want_sched.total_cost)
+            try:
+                fixed, sched = repair_and_simulate(row, demand, p, costs)
+            except UnrepairableError as err:
+                assert isinstance(got, UnrepairableError)
+                assert (got.week, got.code, got.shortfall, str(got)) == (
+                    err.week, err.code, err.shortfall, str(err))
+                continue
+            assert got[0] == fixed
+            fitness = got[1]
+            if sched.total_cost < 10 ** 27:
+                assert str(fitness) == str(sched.total_cost)
+            else:  # Schedule.total_cost rounds at every week (CHANGES.md)
+                with localcontext(prec=MAX_PREC):
+                    exact = sum(r.week_cost for r in sched.records)
+                assert fitness == +exact
+            if small and max(fixed.vessel_buys + fixed.operator_buys) < 1000:
+                records, total = reference_simulate(fixed, demand, p, costs)
+                assert [dataclasses.asdict(r) for r in sched.records] == records
+                assert str(fitness) == str(total)
+
+    def test_mixed_batch(self):
+        # the golden small instance: a week-1 intake of 5 with G = 2 and
+        # one idle week-1 operator cascades into the instructor wall
+        p = FleetParams(instruct_capacity=2, attrition_rate=Decimal("0.2"), initial_vessels=4,
+                        initial_operators=9, horizon=7)
+        demand = DemandSeries((2, 0, 3, 2, 0, 1, 2))
+        hopeless = ProcurementPlan((0, 0, 0, 2, 2, 0, 1), (5, 1, 3, 5, 0, 4, 1))
+        zero = ProcurementPlan.zero(7)
+        got = repair_batch([zero, hopeless, zero, hopeless], demand, p, COSTS)
+        fixed, sched = repair_and_simulate(zero, demand, p, COSTS)
+        assert got[0] == got[2] == (fixed, sched.total_cost)
+        assert fixed == ProcurementPlan((0, 0, 1, 0, 0, 0, 0), (2, 6, 6, 0, 0, 0, 0))
+        for stuck in (got[1], got[3]):
+            assert isinstance(stuck, UnrepairableError)
+            assert (stuck.week, stuck.code) == (1, "INSUFFICIENT_INSTRUCTORS")
+
+    def test_repair_widens_past_int64_bound(self):
+        # the zero plan fits int64, but week 2's bumps of about 10^16
+        # vessels and 4*10^16 operators pass the instance's entry bound,
+        # so repair carries on in Python ints
+        unit = 10 ** 16
+        p = FleetParams(instruct_capacity=10 ** 9, attrition_rate=Decimal(0),
+                        initial_vessels=unit, initial_operators=4 * unit + 10 ** 9, horizon=2)
+        demand = DemandSeries((unit, 2 * unit))
+        costs = CostParams(40, 40, 40, 40, 40)
+        limit = kernel(demand, p, costs).entry_limit
+        assert 0 < limit < unit
+        [(fixed, cost)] = repair_batch([ProcurementPlan.zero(2)], demand, p, costs)
+        assert fixed.vessel_buys == (2 * unit, 0)
+        assert fixed.operator_buys[0] > limit
+        sched = simulate(fixed, demand, p, costs)
+        assert cost == sched.total_cost
+        assert validate(sched, demand, p, costs) == []
 
 
 class TestScheduleCSV:
