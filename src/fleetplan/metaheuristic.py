@@ -119,9 +119,9 @@ class SolveResult:
     schedule: Schedule
     trace: ConvergenceTrace
     # deterministic counts, keyed by STATS
-    stats: dict[str, int] = field(default_factory=dict)
+    stats: dict[str, int]
     # wall seconds per phase; these differ between identical runs
-    phase_s: dict[str, float] = field(default_factory=dict, compare=False)
+    phase_s: dict[str, float] = field(compare=False)
 
 
 def anneal_step(temperature: float, improved: bool, schedule: AnnealSchedule) -> float:

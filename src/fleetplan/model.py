@@ -174,8 +174,7 @@ def _scaled(price: Decimal, exponent: int) -> int:
     return int("".join(map(str, digits))) * 10 ** (exp - exponent)
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel:
+class Kernel(NamedTuple):
     """An instance's constants for step_week and its batch drivers.
 
     entry_limit is the largest plan entry for which int64 arrays provably
@@ -375,7 +374,7 @@ def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
         (cb, ob), (dv, do), (sv, so), (mv, mo), (ov, oo) = (
             a[0].tolist() for a in (buys[:, i], w.discards, w.destroyed, w.maint, owned))
         records.append(WeekRecord(i + 1, cb, ob, dv, do, sv, so, mv, mo,
-                                  int(w.instructors[0]), ob, int(dem[i]),
+                                  int(w.instructors[0]), ob, demand[i],
                                   k.decimal(w.cost[0]), ov, oo))
     return Schedule(tuple(records))
 
@@ -389,14 +388,14 @@ def simulate_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: F
         return []
     k = kernel(demand, params, costs)
     buys, dem = k.arrays(plans)
+    dem = np.broadcast_to(dem, buys.shape[:2])
     ready, in_use = k.start(len(plans), buys.dtype)
-    rows = np.zeros(len(plans), dtype=np.intp)
     total = np.zeros(len(plans), dtype=buys.dtype)
     code = np.zeros(len(plans), dtype=np.intp)
     week = np.zeros(len(plans), dtype=np.intp)
     shortfall = np.zeros(len(plans), dtype=buys.dtype)
     for i in range(params.horizon):
-        w = step_week(ready, in_use, buys[:, i], dem[rows + i], k)
+        w = step_week(ready, in_use, buys[:, i], dem[:, i], k)
         first = (code == 0) & (w.code != 0)
         code[first], week[first], shortfall[first] = w.code[first], i + 1, w.shortfall[first]
         ready, in_use, total = w.ready, w.in_use, total + w.cost
