@@ -19,7 +19,8 @@ evaluates after: it breeds exactly the pairs a one-child-at-a-time loop
 would breed next (ceil(short/2) pairs while the population is short),
 repairs and costs their distinct uncached children as one
 model.repair_batch, and then replays the cache, the evaluation count,
-the rejects, the best plan and the budget stop in child order.  The
+the rejects, the best plan and the budget stop in child order
+(_Evaluator.outcomes).  The
 outputs are those of evaluating each child as it is bred, including
 the second child of a pair that is evaluated after the population
 fills; children bred past a budget stop are never counted.
@@ -187,10 +188,7 @@ def mutation_magnitude(temperature: float, config: SolverConfig) -> int:
 class _Evaluator:
     """Repairs and costs plans in batches, counting distinct evaluations.
 
-    batch() evaluates the uncached plans of a list at once; take() then
-    applies one plan's outcome to the counters, the cache and the best
-    plan, exactly as evaluating that plan alone at that point would.
-    stats counts cache hits and rejects as they are taken, and the
+    stats counts cache hits and rejects as outcomes are taken, and the
     kernel's work (rounds, rows stepped, bumps, clamps) as it is done.
     """
 
@@ -206,50 +204,45 @@ class _Evaluator:
         self.evals_to_best = 0
         self.stats: Counter = Counter()
 
-    def batch(self, plans: list[ProcurementPlan]) -> dict:
-        """Outcomes of the distinct plans not cached yet: (fixed, cost) or
-        the UnrepairableError that ends the plan's repair."""
-        novel = list(dict.fromkeys(p for p in plans if p not in self.cache))
-        if not novel:
-            return {}
-        return dict(zip(novel, repair_batch(novel, self.demand, self.params, self.costs,
-                                            self.stats)))
+    def outcomes(self, plans: list[ProcurementPlan]):
+        """Yield each plan's (fixed plan, cost), or None for an unrepairable
+        one, in order.
 
-    def take(self, plan: ProcurementPlan, outcomes: dict,
-             ) -> tuple[ProcurementPlan, Decimal] | None:
-        """A plan's evaluated outcome, or None for an unrepairable one.
-
-        Mutation and crossover can breed plans no purchase increase
-        saves (an intake cascade hitting the week-1 instructor wall);
-        the caller redraws on None.  A long run of consecutive
-        rejections means nothing is repairable, so the error surfaces.
+        The distinct uncached plans are repaired as one batch first; each
+        outcome then updates the counters, the cache and the best plan
+        when it is taken, exactly as evaluating that plan alone at that
+        point would, so a caller that stops early leaves no trace of the
+        plans it did not take.  Mutation and crossover can breed plans no
+        purchase increase saves (an intake cascade hitting the week-1
+        instructor wall); the caller redraws on None.  A long run of
+        consecutive rejections means nothing is repairable, so the error
+        surfaces.
         """
-        hit = self.cache.get(plan)
-        if hit is not None:
-            self.stats["cache_hits"] += 1
-            return hit
-        got = outcomes[plan]
-        if isinstance(got, UnrepairableError):
-            self.rejects += 1
-            self.stats["unrepairable"] += 1
-            if self.rejects > 1000:
-                raise got
-            return None
-        fixed, cost = got
-        self.evals += 1
-        self.rejects = 0
-        if self.best_cost is None or cost < self.best_cost:
-            self.best_plan, self.best_cost = fixed, cost
-            self.evals_to_best = self.evals
-        self.cache[plan] = got
-        return got
-
-    def __call__(self, plan: ProcurementPlan) -> tuple[ProcurementPlan, Decimal]:
-        """Evaluate one plan that must be repairable."""
-        outcomes = self.batch([plan])
-        if isinstance(outcomes.get(plan), UnrepairableError):
-            raise outcomes[plan]
-        return self.take(plan, outcomes)
+        novel = list(dict.fromkeys(p for p in plans if p not in self.cache))
+        fresh = dict(zip(novel, repair_batch(novel, self.demand, self.params, self.costs,
+                                             self.stats)))
+        for plan in plans:
+            hit = self.cache.get(plan)
+            if hit is not None:
+                self.stats["cache_hits"] += 1
+                yield hit
+                continue
+            got = fresh[plan]
+            if isinstance(got, UnrepairableError):
+                self.rejects += 1
+                self.stats["unrepairable"] += 1
+                if self.rejects > 1000:
+                    raise got
+                yield None
+                continue
+            fixed, cost = got
+            self.evals += 1
+            self.rejects = 0
+            if self.best_cost is None or cost < self.best_cost:
+                self.best_plan, self.best_cost = fixed, cost
+                self.evals_to_best = self.evals
+            self.cache[plan] = got
+            yield got
 
 
 def _random_plan(horizon: int, demand: DemandSeries, rng: Random) -> ProcurementPlan:
@@ -285,9 +278,7 @@ def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
             pa, pb = roulette_select(plans, weights, rng)
             children += [mutate(child, magnitude, config, rng)
                          for child in crossover(pa, pb, rng, config.crossover_rate)]
-        outcomes = evaluate.batch(children)
-        for child in children:
-            got = evaluate.take(child, outcomes)
+        for got in evaluate.outcomes(children):
             if got is not None and len(nxt) < config.population_size:
                 nxt.append(got)
             if evaluate.evals >= config.max_iterations:
@@ -301,11 +292,7 @@ def _populate(population: list[tuple[ProcurementPlan, Decimal]], breed,
     unrepairable ones."""
     while (short := config.population_size - len(population)) > 0:
         plans = [breed() for _ in range(short)]
-        outcomes = evaluate.batch(plans)
-        for plan in plans:
-            got = evaluate.take(plan, outcomes)
-            if got is not None:
-                population.append(got)
+        population += [got for got in evaluate.outcomes(plans) if got is not None]
     return population
 
 
@@ -376,7 +363,9 @@ def solve(demand: DemandSeries, params: FleetParams, costs: CostParams,
     evaluate.stats["greedy_reductions"] = greedy.passes
     phase_s = {"seed_reduce": time.perf_counter() - started}
     magnitude = mutation_magnitude(schedule.initial_temp, config)
-    return _search([evaluate(seeded)], lambda: mutate(seeded, magnitude, config, rng),
+    # a reduced plan is feasible, so repair keeps it
+    return _search(list(evaluate.outcomes([seeded])),
+                   lambda: mutate(seeded, magnitude, config, rng),
                    schedule, config, rng, evaluate, phase_s)
 
 

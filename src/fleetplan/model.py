@@ -264,9 +264,13 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
     fits = 2 * den <= top and max(pv, po + pt, pvm, pom) <= top
     entry_limit = min(limits) if fits else -1
     dtype = np.int64 if fits else object
-    return Kernel(demand, params, params.instruct_capacity, num, den,
-                  np.array((pv, po + pt), dtype=dtype), pt, np.array((pvm, pom), dtype=dtype),
-                  exponent, width, last_wear, keep, max(entry_limit, -1))
+    arrays = (np.array((pv, po + pt), dtype=dtype), np.array((pvm, pom), dtype=dtype),
+              last_wear, keep)
+    for a in arrays:  # every caller of the cache shares them
+        a.flags.writeable = False
+    buy_prices, shop_prices, last_wear, keep = arrays
+    return Kernel(demand, params, params.instruct_capacity, num, den, buy_prices, pt,
+                  shop_prices, exponent, width, last_wear, keep, max(entry_limit, -1))
 
 
 def _take(pool: np.ndarray, before: np.ndarray, n: np.ndarray) -> np.ndarray:
