@@ -425,6 +425,11 @@ class TestBatch:
                 want_sched = simulate(row, demand, p, costs)
             except InfeasibleError as err:
                 assert (cost.week, cost.code, cost.shortfall) == (err.week, err.code, err.shortfall)
+                if small and max(row.vessel_buys + row.operator_buys) < 1000:
+                    with pytest.raises(ReferenceShortfall) as ref:
+                        reference_simulate(row, demand, p, costs)
+                    assert (ref.value.week, ref.value.code, ref.value.shortfall) == (
+                        err.week, err.code, err.shortfall)
             else:
                 assert str(cost) == str(want_sched.total_cost)
             try:
@@ -464,21 +469,22 @@ class TestBatch:
             assert (stuck.week, stuck.code) == (1, "INSUFFICIENT_INSTRUCTORS")
 
     def test_repair_widens_past_int64_bound(self):
-        # the zero plan fits int64, but week 2's bumps of about 10^16
-        # vessels and 4*10^16 operators pass the instance's entry bound,
-        # so repair carries on in Python ints
+        # the zero plan fits int64, but the week-1 bumps that week 2 asks
+        # for (2*10^16 vessels, about 8*10^16 operators) pass the entry
+        # bound, and the total they cost passes 2^63: repair must carry
+        # on in Python ints
         unit = 10 ** 16
         p = FleetParams(instruct_capacity=10 ** 9, attrition_rate=Decimal(0),
                         initial_vessels=unit, initial_operators=4 * unit + 10 ** 9, horizon=2)
         demand = DemandSeries((unit, 2 * unit))
-        costs = CostParams(40, 40, 40, 40, 40)
+        costs = CostParams(50, 50, 50, 50, 50)
         limit = kernel(demand, p, costs).entry_limit
         assert 0 < limit < unit
         [(fixed, cost)] = repair_batch([ProcurementPlan.zero(2)], demand, p, costs)
         assert fixed.vessel_buys == (2 * unit, 0)
         assert fixed.operator_buys[0] > limit
         sched = simulate(fixed, demand, p, costs)
-        assert cost == sched.total_cost
+        assert cost == sched.total_cost > 2 ** 63
         assert validate(sched, demand, p, costs) == []
 
 
