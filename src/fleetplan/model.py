@@ -24,16 +24,17 @@ Within a week the fixed order of events is:
 Money inside the kernel is integer: each price is scaled by 10^-e, where
 e is the smallest exponent among the config's prices, and a cost turns
 back into the Decimal that exact arithmetic on the prices gives only
-when it leaves the kernel, so a week's cost is exact at any size.  Arrays are int64 when a bound computed from
-the instance (initial stock, demand, prices, the attrition ratio and
-the largest plan entry) proves that no intermediate can overflow, and
-Python ints (dtype=object) otherwise; the same statements run either way.
+when it leaves the kernel, so a week's cost is exact at any size.
+Arrays are int64 when a bound computed from the instance (initial
+stock, demand, prices, the attrition ratio and the largest plan entry)
+proves that no intermediate can overflow, and Python ints (dtype=object)
+otherwise; the same statements run either way.
 
 simulate, repair_and_simulate and the batch entry points simulate_batch
 and repair_batch all drive step_week.  Repair keeps a per-plan week
-cursor over a (B, H+1, ...) state history: each kernel round advances
-every unfinished plan one week, and a plan whose week failed is clamped
-and retries the week, or is bumped and rewinds one week.
+cursor over a state history of H+1 slots per plan: each kernel round
+advances every unfinished plan one week, and a plan whose week failed
+is clamped and retries the week, or is bumped and rewinds one week.
 
 validate() re-derives the constraint set from schedule records alone and
 shares no code with step_week, so the two act as independent checks on
@@ -240,7 +241,9 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
       attrition   2*num*N + den                      <= 2^63 - 1
       costs       H * (4*E + 2*N) * max scaled price  <= 2^63 - 1
       shortfalls  4*max(demand) + E + N               <= 2^63 - 1
-    entry_limit is the largest such E.  Repair's bumps can raise entries
+      clamps      G * 4*max(demand), E + G            <= 2^63 - 1
+    where G is the instructor capacity (a clamped intake lies between
+    -4*max(demand)*G and E + G).  entry_limit is the largest such E.  Repair's bumps can raise entries
     past it, so repair_batch checks each bump and widens to Python ints.
     """
     h = params.horizon
@@ -256,12 +259,14 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
     keep = np.arange(width) < last_wear[:, None]
 
     stock = max(params.initial_vessels, params.initial_operators)
+    peak = max(demand.values)
+    g = params.instruct_capacity
     top = _INT64_MAX
     limits = [(top // (h * max(prices)) - 2 * stock) // (4 + 2 * h),
-              (top - 4 * max(demand.values) - stock) // (1 + h)]
+              (top - 4 * peak - stock) // (1 + h), top - g]
     if num:
         limits.append(((top - den) // (2 * num) - stock) // h)
-    fits = 2 * den <= top and max(pv, po + pt, pvm, pom) <= top
+    fits = 2 * den <= top and max(pv, po + pt, pvm, pom, 4 * peak * g) <= top
     entry_limit = min(limits) if fits else -1
     dtype = np.int64 if fits else object
     arrays = (np.array((pv, po + pt), dtype=dtype), np.array((pvm, pom), dtype=dtype),

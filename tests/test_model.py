@@ -468,14 +468,25 @@ class TestBatch:
             assert isinstance(stuck, UnrepairableError)
             assert (stuck.week, stuck.code) == (1, "INSUFFICIENT_INSTRUCTORS")
 
+    @pytest.mark.parametrize("g", [2 ** 62, 10 ** 20])
+    def test_instruct_capacity_past_int64_bound(self, g):
+        # one crew of four and a week-1 hire of 5: the instructor the hire
+        # needs is missing, so the intake is clamped to G * (1 - 1) = 0
+        p = params(1, 4, g=g, horizon=2)
+        demand = DemandSeries((1, 0))
+        assert kernel(demand, p, COSTS).entry_limit == -1
+        [(fixed, cost)] = repair_batch([ProcurementPlan((0, 0), (5, 0))], demand, p, COSTS)
+        assert fixed == ProcurementPlan.zero(2)
+        assert cost == simulate(fixed, demand, p, COSTS).total_cost
+
     def test_repair_widens_past_int64_bound(self):
         # the zero plan fits int64, but the week-1 bumps that week 2 asks
-        # for (2*10^16 vessels, about 8*10^16 operators) pass the entry
+        # for (2*10^16 vessels, 7.9*10^16 operators) pass the entry
         # bound, and the total they cost passes 2^63: repair must carry
         # on in Python ints
         unit = 10 ** 16
-        p = FleetParams(instruct_capacity=10 ** 9, attrition_rate=Decimal(0),
-                        initial_vessels=unit, initial_operators=4 * unit + 10 ** 9, horizon=2)
+        p = FleetParams(instruct_capacity=100, attrition_rate=Decimal(0),
+                        initial_vessels=unit, initial_operators=4 * unit + 10 ** 15, horizon=2)
         demand = DemandSeries((unit, 2 * unit))
         costs = CostParams(50, 50, 50, 50, 50)
         limit = kernel(demand, p, costs).entry_limit
