@@ -22,7 +22,7 @@ import numpy as np
 
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 from fleetplan.greedy import reduce_plan, seed_plan
-from fleetplan.model import kernel, step_week
+from fleetplan.model import kernel, simulate, step_week
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -48,12 +48,8 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
                              for ob in range(max_buy + 1)])
     choices = choices[:, 0]
     n = len(choices)
-    seeded_buys, _ = k.arrays([seeded])
-    ready, in_use = k.start(1, choices.dtype)
-    best_cost = 0
-    for i in range(horizon):
-        week = step_week(ready, in_use, seeded_buys[:, i], dem[i:i + 1], k)
-        ready, in_use, best_cost = week.ready, week.in_use, best_cost + int(week.cost[0])
+    # costs in the kernel's scaled integer units
+    best_cost = int(simulate(seeded, demand, params, costs).total_cost.scaleb(-k.exponent))
     best_plan = seeded
 
     nodes = 0
