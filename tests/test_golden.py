@@ -1,4 +1,5 @@
-"""Golden outputs on the README instance and on a small instance with rejects.
+"""Golden outputs on the README instance, on a small instance with rejects,
+and of the forecaster.
 
 The README instance is standard prices, G = 10, K = 0.10, 6 vessels,
 24 operators, 26 weeks, demand from
@@ -7,7 +8,10 @@ The README instance is standard prices, G = 10, K = 0.10, 6 vessels,
 `fleetplan bench` under the K = 0 scenario (which also runs the plain-GA
 baseline), must reproduce these files byte for byte.  A refactor of the
 search loop, the simulator or repair that changes any of them changes
-the search.
+the search.  The forecaster goldens pin `fleetplan forecast` on a fixed
+`gen-demand` series and `rls_fit` plus both predictors on gate 6's
+seed-0 series to the last bit, so a faster filter or fit that reorders
+one float operation shows here.
 """
 
 import hashlib
@@ -15,8 +19,11 @@ from decimal import Decimal
 
 from fleetplan.cli import main
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, save_config, save_demand
+from fleetplan.forecast import (ArimaOrder, astrom_predict,
+                                conditional_expectation_predict, rls_fit)
 from fleetplan.metaheuristic import SolverConfig, solve_plain_ga, write_trace_csv
 from fleetplan.model import write_schedule_csv
+from test_acceptance import _integrated_arma_series
 
 STD_COSTS = CostParams(100, 50, 20, 10, 15)
 
@@ -116,3 +123,52 @@ def test_small_plain_ga_with_rejects_is_byte_identical(tmp_path):
     write_trace_csv(tmp_path / "trace.csv", result.trace)
     assert _sha256(tmp_path / "schedule.csv") == SMALL_PLAIN_SCHEDULE_SHA256
     assert _sha256(tmp_path / "trace.csv") == SMALL_PLAIN_TRACE_SHA256
+
+
+FORECAST_SHA256 = "a88f08d2a0e0bcda4d7c148df6864efc15d7c3449caa7eb14c3515bb4bfbd2bb"
+DIAGNOSTICS_SHA256 = "504c72e4834a4884f2531014a5858cce62e9cb8e35d922da2e6911e3bddb34c7"
+
+
+def test_forecast_command_is_byte_identical(tmp_path, capsys):
+    demand = tmp_path / "demand.csv"
+    assert main(["gen-demand", "--horizon", "120", "--seed", "23", "--level", "20",
+                 "--volatility", "0.3", "--out", str(demand)]) == 0
+    run_dir = tmp_path / "fc"
+    assert main(["forecast", "--demand", str(demand), "--order", "3,1,4",
+                 "--horizon", "12", "--out-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+
+    manifest = dict(line.split(" = ", 1)
+                    for line in (run_dir / "run.manifest").read_text().splitlines())
+    assert manifest["q_statistic"] == "23.240068421921652"
+    assert manifest["r_squared"] == "0.6521294233280874"
+    assert _sha256(run_dir / "forecast.csv") == FORECAST_SHA256
+    assert _sha256(run_dir / "diagnostics.csv") == DIAGNOSTICS_SHA256
+
+
+# ARIMA(3,1,4) with lambda 0.99 on gate 6's seed-0 series (2000 samples)
+GATE6_AR = "(-1.0268734548785867, -0.9611590167483137, -0.9191269647252912)"
+GATE6_MA = ("(-0.2908914790386621, -0.31083667978815444, -0.009474890716614264, "
+            "-0.04456418338417102)")
+GATE6_MEAN_AND_VARIANCE = "(0.008290189609747792, 2.5777580256864545)"
+GATE6_RESID_SHA256 = "6e9394d3a6f820573c29f6ed4d861e1f9a83719c2949cc94ff018bb8ddeeec26"
+GATE6_ASTROM = [
+    "32.58305110841535", "30.06826016863949", "38.44908512482604", "31.09679389987395",
+    "32.935164372843744", "30.44346042722983", "38.025238920107704", "30.977330779097755",
+    "33.24992917719457", "30.754192706719454", "37.64298330671621", "30.91145134026777"]
+GATE6_CONDITIONAL = [
+    "32.58305110841535", "30.068260168639487", "38.44908512482604", "31.09679389987395",
+    "32.935164372843744", "30.443460427229834", "38.0252389201077", "30.977330779097755",
+    "33.24992917719457", "30.75419270671945", "37.64298330671622", "30.91145134026777"]
+
+
+def test_gate6_fit_and_predictions_are_bit_identical():
+    y = _integrated_arma_series(0)
+    model, resid = rls_fit(y, ArimaOrder(3, 1, 4), 0.99)
+    assert repr(model.ar_coeffs) == GATE6_AR
+    assert repr(model.ma_coeffs) == GATE6_MA
+    assert repr((model.series_mean, model.noise_variance)) == GATE6_MEAN_AND_VARIANCE
+    assert hashlib.sha256(resid.tobytes()).hexdigest() == GATE6_RESID_SHA256
+    assert [repr(astrom_predict(model, y, k)) for k in range(1, 13)] == GATE6_ASTROM
+    assert [repr(conditional_expectation_predict(model, y, k))
+            for k in range(1, 13)] == GATE6_CONDITIONAL
