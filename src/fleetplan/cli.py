@@ -187,7 +187,8 @@ def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {args.horizon}")
 
-    model, resid = rls_fit(demand.values, order, args.forgetting)
+    fit_stats: dict[str, float] = {}
+    model, resid = rls_fit(demand.values, order, args.forgetting, fit_stats)
     forecast_series = extend_demand(model, demand, args.horizon)
 
     n_params = order.p + order.q
@@ -221,6 +222,9 @@ def cmd_forecast(args) -> int:
         "q_statistic": repr(q_stat),
         "white": str(white).lower(),
         "r_squared": repr(r2),
+        # empty when p = q = 0: no coefficients, no covariance
+        "rls_covariance_trace": fit_stats.get("covariance_trace", ""),
+        "rls_covariance_condition": fit_stats.get("covariance_condition", ""),
     })
     print(f"forecast {args.horizon} weeks; residual Q={q_stat:.3f} "
           f"(white={str(white).lower()}), r_squared={r2:.4f}; outputs in {out_dir}")

@@ -20,11 +20,25 @@ solves the polynomial identity
 and filters the detrended history through G/C; an independent
 conditional-expectation recursion (future noise zeroed) must agree with
 it to high precision and both are exported.
+
+Bit-identity contract.  Each filter runs in two stages: its FIR part as
+one whole-array numpy pass per coefficient, adding the coefficient's
+term onto every sample in the order a scalar loop would, then its
+recursive 1/C part in plain Python floats over lists, subtracting the C
+terms in lag order.  Elementwise IEEE arithmetic in the same order gives
+the same bits as the per-sample scalar loops the equations describe
+(tests/oracles.py keeps those loops, and the tests require equal
+results), so no output changes with the speed.  Sum-reordering forms
+(np.convolve, lfilter, closed forms) would break that.  The two
+predictors deliberately share no filter helper: each is the other's
+independent cross-check, and a fault in a shared helper would pass
+through both unseen.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,19 +145,24 @@ def _variance(resid: np.ndarray) -> float:
 
 
 def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
-            ) -> tuple[ArimaModel, np.ndarray]:
+            stats: dict | None = None) -> tuple[ArimaModel, np.ndarray]:
     """Fit by extended recursive least squares on the differenced, centered
     series; returns the model and the in-sample residuals.
 
     The regressor at time t is [w(t-1)..w(t-p), e(t-1)..e(t-q)] with the
     residual estimates refreshed after each parameter update.  Lags that
-    reach before the start of the sample are taken as zero.
+    reach before the start of the sample are taken as zero.  The regressor
+    is a shift register updated in place after each sample, which holds
+    the same values as one built from the lags each sample, so the fit
+    matches the scalar form to the last bit.  stats, if given, receives
+    the final covariance's trace and 2-norm condition number (nothing when
+    p = q = 0, which fits no coefficients).
     """
     if not (0.9 < forgetting_factor <= 1.0):
         raise ValueError(
             f"forgetting factor must lie in (0.9, 1], got {forgetting_factor}")
     x = np.asarray(series, dtype=float)
-    dim = order.p + order.q
+    p, dim = order.p, order.p + order.q
     if len(x) < max(10 * dim, order.d + 2):
         raise SeriesTooShortError(
             f"need at least {max(10 * dim, order.d + 2)} samples for order "
@@ -162,27 +181,32 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
     theta = np.zeros(dim)  # [ar_1..ar_p, ma_1..ma_q]
     P = np.eye(dim) * 1e6
     resid = np.zeros(n)
-    for t in range(n):
-        phi = np.empty(dim)
-        for i in range(order.p):
-            phi[i] = w[t - 1 - i] if t - 1 - i >= 0 else 0.0
-        for j in range(order.q):
-            k = t - 1 - j
-            phi[order.p + j] = resid[k] if k >= 0 else 0.0
+    phi = np.zeros(dim)
+    for t, w_t in enumerate(w.tolist()):
         Pphi = P @ phi
         denom = lam + float(phi @ Pphi)
         gain = Pphi / denom
-        err = w[t] - float(phi @ theta)
+        err = w_t - float(phi @ theta)
         theta = theta + gain * err
         P = (P - np.outer(gain, Pphi)) / lam
         P = (P + P.T) / 2.0
-        if not np.all(np.isfinite(P)) or np.any(np.diag(P) <= 0):
+        if not np.isfinite(P).all() or (P.diagonal() <= 0).any():
             raise NumericalBreakdownError(
                 f"covariance lost positive-definiteness at sample {t}")
-        resid[t] = w[t] - float(phi @ theta)
-        if not (np.all(np.isfinite(theta)) and np.isfinite(resid[t])):
+        e_t = w_t - float(phi @ theta)
+        resid[t] = e_t
+        if not (np.isfinite(theta).all() and math.isfinite(e_t)):
             raise NumericalBreakdownError(f"estimate lost finiteness at sample {t}")
+        if p:
+            phi[1:p] = phi[:p - 1]
+            phi[0] = w_t
+        if p < dim:
+            phi[p + 1:] = phi[p:-1]
+            phi[p] = e_t
 
+    if stats is not None:
+        stats["covariance_trace"] = float(np.trace(P))
+        stats["covariance_condition"] = float(np.linalg.cond(P))
     ma, noise_variance = _flip_inside_ma_roots(theta[order.p:], _variance(resid))
     model = ArimaModel(order, tuple(theta[:order.p]), tuple(ma), mean, noise_variance)
     return model, resid
@@ -207,7 +231,11 @@ def _flip_inside_ma_roots(ma: np.ndarray, noise_variance: float,
     flipped = np.real(np.poly(roots))[::-1]  # constant term first
     out = np.zeros(len(ma))
     out[:len(flipped) - 1] = flipped[1:] / flipped[0]
-    return out, noise_variance * float(np.prod(np.abs(roots[inside]) ** 2))
+    noise_variance = noise_variance * float(np.prod(np.abs(roots[inside]) ** 2))
+    # a root near zero scales the variance past the float range
+    if not (np.isfinite(out).all() and math.isfinite(noise_variance)):
+        raise NumericalBreakdownError("flipping the MA roots overflowed the noise variance")
+    return out, noise_variance
 
 
 def _poly_a(model: ArimaModel) -> np.ndarray:
@@ -239,7 +267,8 @@ def diophantine_split(c: np.ndarray, abar: np.ndarray, k: int,
 
     Long-division style: F's coefficients come from matching powers
     B^0..B^(k-1), then G is the remainder shifted down by k.  The split
-    is verified to 1e-9 before returning.
+    is verified to 1e-9 before returning; NumericalBreakdownError if it
+    fails.
     """
     if k < 1:
         raise ValueError(f"prediction step must be >= 1, got {k}")
@@ -255,7 +284,9 @@ def diophantine_split(c: np.ndarray, abar: np.ndarray, k: int,
     rem[:len(c)] += c
     rem[:len(prod)] -= prod
     if np.max(np.abs(rem[:k])) > 1e-9:
-        raise AssertionError("polynomial split lost the low-order terms")
+        # high differencing orders and far steps make F's terms too large
+        # for the low powers to cancel in floating point
+        raise NumericalBreakdownError("polynomial split lost the low-order terms")
     g = rem[k:]
     if len(g) == 0:
         g = np.zeros(1)
@@ -277,8 +308,9 @@ def _trend(mu: float, d: int, t: np.ndarray) -> np.ndarray:
 def astrom_predict(model: ArimaModel, history, k: int) -> float:
     """Minimum-variance k-step prediction via the polynomial split.
 
-    Filters the detrended history through G/C with zero pre-sample state;
-    the trend is added back at the predicted index.  Raises
+    Filters the detrended history through G/C with zero pre-sample state,
+    G as whole-array passes and 1/C as a plain-float recursion (see the
+    module docstring); the trend is added back at the predicted index.  Raises
     NoninvertibleMAError when the MA polynomial's roots are not strictly
     outside the unit circle.
     """
@@ -292,15 +324,28 @@ def astrom_predict(model: ArimaModel, history, k: int) -> float:
     _check_invertible(c)
     abar = _poly_a(model)
     _, g = diophantine_split(c, abar, k)
-    z = np.zeros(len(y))
-    for t in range(len(y)):
-        acc = 0.0
-        for j in range(len(g)):
-            if t - j >= 0:
-                acc += g[j] * y[t - j]
-        for j in range(1, len(c)):
-            if t - j >= 0:
-                acc -= c[j] * z[t - j]
+    n = len(y)
+    # G part: one whole-array pass per coefficient, adding g_j y(t-j) in
+    # j order onto 0.0, the scalar sum's order for every t
+    u = np.zeros(n)
+    for j in range(min(len(g), n)):
+        u[j:] += g[j] * y[:n - j]
+    # 1/C part: z(t) = u(t) - c_1 z(t-1) - ... in plain floats; the first
+    # q samples skip the lags before the start rather than multiply zeros,
+    # which could flip the sign of a zero
+    z = u.tolist()
+    cs = c.tolist()
+    q = len(cs) - 1
+    for t in range(1, min(q, n)):
+        acc = z[t]
+        for j in range(1, t + 1):
+            acc -= cs[j] * z[t - j]
+        z[t] = acc
+    taps = list(enumerate(cs[1:], start=1))
+    for t in range(q, n):
+        acc = z[t]
+        for j, c_j in taps:
+            acc -= c_j * z[t - j]
         z[t] = acc
     return float(z[-1] + trend[-1])
 
@@ -310,7 +355,9 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
     over the history, then roll the model forward with future noise zeroed.
 
     Kept deliberately separate from astrom_predict as a cross-check; the
-    two must agree to within numerical noise.
+    two must agree to within numerical noise.  The noise estimate runs in
+    the same two stages as astrom_predict's filter, in its own code: the
+    A part as whole-array passes from y, the 1/C part in plain floats.
     """
     if k < 1:
         raise ValueError(f"prediction step must be >= 1, got {k}")
@@ -324,27 +371,39 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
     _check_invertible(c)
     abar = _poly_a(model)
     n = len(y)
-    e = np.zeros(n)
-    for t in range(n):
-        acc = y[t]
-        for i in range(1, len(abar)):
-            if t - i >= 0:
-                acc += abar[i] * y[t - i]
-        for j in range(1, len(c)):
-            if t - j >= 0:
-                acc -= c[j] * e[t - j]
+    # AR part of the noise estimate: y(t) + abar_1 y(t-1) + ..., one
+    # whole-array pass per coefficient in i order
+    u = y.copy()
+    for i in range(1, min(len(abar), n)):
+        u[i:] += abar[i] * y[:n - i]
+    # MA part: e(t) = u(t) - c_1 e(t-1) - ... in plain floats, the first q
+    # samples without the lags before the start
+    e = u.tolist()
+    cs = c.tolist()
+    q = len(cs) - 1
+    for t in range(1, min(q, n)):
+        acc = e[t]
+        for j in range(1, t + 1):
+            acc -= cs[j] * e[t - j]
         e[t] = acc
-    ext = list(y)
+    taps = list(enumerate(cs[1:], start=1))
+    for t in range(q, n):
+        acc = e[t]
+        for j, c_j in taps:
+            acc -= c_j * e[t - j]
+        e[t] = acc
+    ab = abar.tolist()
+    ext = y.tolist()
     for h in range(1, k + 1):
         acc = 0.0
-        for i in range(1, len(abar)):
+        for i in range(1, len(ab)):
             idx = n - 1 + h - i
             if idx >= 0:
-                acc -= abar[i] * ext[idx]
-        for j in range(1, len(c)):
+                acc -= ab[i] * ext[idx]
+        for j in range(1, q + 1):
             idx = n - 1 + h - j
             if 0 <= idx < n:  # future noise has expectation zero
-                acc += c[j] * e[idx]
+                acc += cs[j] * e[idx]
         ext.append(acc)
     return float(ext[-1] + trend[-1])
 
@@ -364,9 +423,15 @@ def forecast_demand(series: DemandSeries, order: ArimaOrder, horizon: int,
 
 def extend_demand(model: ArimaModel, series: DemandSeries, horizon: int) -> DemandSeries:
     """The 1..horizon-step predictions of a fitted model, rounded half-up
-    and clamped at zero."""
-    preds = (astrom_predict(model, series.values, k) for k in range(1, horizon + 1))
-    return DemandSeries(tuple(max(0, round_half_up(p)) for p in preds))
+    and clamped at zero; a prediction that overflowed raises
+    NumericalBreakdownError."""
+    out = []
+    for k in range(1, horizon + 1):
+        pred = astrom_predict(model, series.values, k)
+        if not math.isfinite(pred):
+            raise NumericalBreakdownError(f"the {k}-step prediction is {pred}")
+        out.append(max(0, round_half_up(pred)))
+    return DemandSeries(tuple(out))
 
 
 def acf(series, max_lag: int) -> np.ndarray:

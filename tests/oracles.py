@@ -12,6 +12,13 @@ Small horizons only.
 reference_simulate is a per-unit simulator: it keeps one wear value
 (accumulated maintenance weeks) per unit and shares no code with
 fleetplan.model, so it checks the pooled simulator's bookkeeping.
+
+reference_rls_fit, reference_astrom_predict and
+reference_conditional_expectation_predict are the forecaster's scalar
+loops as they were before its filters and fit were vectorised: one
+numpy scalar per operation, in the order the model's equations write
+them.  fleetplan.forecast keeps every float operation in that order, so
+its results must equal these exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
+from fleetplan.forecast import (ArimaModel, ArimaOrder, NumericalBreakdownError,
+                                SeriesTooShortError, _check_invertible,
+                                _flip_inside_ma_roots, _poly_a, _poly_c, _trend, _variance,
+                                difference, diophantine_split)
 from fleetplan.greedy import reduce_plan, seed_plan
 from fleetplan.model import kernel, simulate, step_week
 
@@ -158,3 +169,119 @@ def reference_simulate(plan: ProcurementPlan, demand: DemandSeries, params: Flee
                                 + o_new),
         })
     return records, sum((rec["week_cost"] for rec in records), Decimal(0))
+
+
+def reference_rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
+                      ) -> tuple[ArimaModel, np.ndarray]:
+    """Extended RLS with the regressor rebuilt element by element each sample."""
+    if not (0.9 < forgetting_factor <= 1.0):
+        raise ValueError(
+            f"forgetting factor must lie in (0.9, 1], got {forgetting_factor}")
+    x = np.asarray(series, dtype=float)
+    dim = order.p + order.q
+    if len(x) < max(10 * dim, order.d + 2):
+        raise SeriesTooShortError(
+            f"need at least {max(10 * dim, order.d + 2)} samples for order "
+            f"({order.p},{order.d},{order.q}), got {len(x)}")
+    w, _ = difference(x, order.d)
+    mean = float(w.mean())
+    w = w - mean
+    n = len(w)
+
+    if dim == 0:
+        # nothing to estimate: the differenced series is bare noise
+        model = ArimaModel(order, (), (), mean, _variance(w) if n else 0.0)
+        return model, w.copy()
+
+    lam = forgetting_factor
+    theta = np.zeros(dim)  # [ar_1..ar_p, ma_1..ma_q]
+    P = np.eye(dim) * 1e6
+    resid = np.zeros(n)
+    for t in range(n):
+        phi = np.empty(dim)
+        for i in range(order.p):
+            phi[i] = w[t - 1 - i] if t - 1 - i >= 0 else 0.0
+        for j in range(order.q):
+            k = t - 1 - j
+            phi[order.p + j] = resid[k] if k >= 0 else 0.0
+        Pphi = P @ phi
+        denom = lam + float(phi @ Pphi)
+        gain = Pphi / denom
+        err = w[t] - float(phi @ theta)
+        theta = theta + gain * err
+        P = (P - np.outer(gain, Pphi)) / lam
+        P = (P + P.T) / 2.0
+        if not np.all(np.isfinite(P)) or np.any(np.diag(P) <= 0):
+            raise NumericalBreakdownError(
+                f"covariance lost positive-definiteness at sample {t}")
+        resid[t] = w[t] - float(phi @ theta)
+        if not (np.all(np.isfinite(theta)) and np.isfinite(resid[t])):
+            raise NumericalBreakdownError(f"estimate lost finiteness at sample {t}")
+
+    ma, noise_variance = _flip_inside_ma_roots(theta[order.p:], _variance(resid))
+    model = ArimaModel(order, tuple(theta[:order.p]), tuple(ma), mean, noise_variance)
+    return model, resid
+
+
+def reference_astrom_predict(model: ArimaModel, history, k: int) -> float:
+    """The G/C filter as one scalar double loop per sample."""
+    y = np.asarray(history, dtype=float)
+    if len(y) == 0:
+        raise SeriesTooShortError("history is empty")
+    trend = _trend(model.series_mean, model.order.d,
+                   np.arange(len(y) + k, dtype=float))
+    y = y - trend[:len(y)]
+    c = _poly_c(model)
+    _check_invertible(c)
+    abar = _poly_a(model)
+    _, g = diophantine_split(c, abar, k)
+    z = np.zeros(len(y))
+    for t in range(len(y)):
+        acc = 0.0
+        for j in range(len(g)):
+            if t - j >= 0:
+                acc += g[j] * y[t - j]
+        for j in range(1, len(c)):
+            if t - j >= 0:
+                acc -= c[j] * z[t - j]
+        z[t] = acc
+    return float(z[-1] + trend[-1])
+
+
+def reference_conditional_expectation_predict(model: ArimaModel, history, k: int) -> float:
+    """The noise estimate and the forward roll as scalar double loops."""
+    if k < 1:
+        raise ValueError(f"prediction step must be >= 1, got {k}")
+    y = np.asarray(history, dtype=float)
+    if len(y) == 0:
+        raise SeriesTooShortError("history is empty")
+    trend = _trend(model.series_mean, model.order.d,
+                   np.arange(len(y) + k, dtype=float))
+    y = y - trend[:len(y)]
+    c = _poly_c(model)
+    _check_invertible(c)
+    abar = _poly_a(model)
+    n = len(y)
+    e = np.zeros(n)
+    for t in range(n):
+        acc = y[t]
+        for i in range(1, len(abar)):
+            if t - i >= 0:
+                acc += abar[i] * y[t - i]
+        for j in range(1, len(c)):
+            if t - j >= 0:
+                acc -= c[j] * e[t - j]
+        e[t] = acc
+    ext = list(y)
+    for h in range(1, k + 1):
+        acc = 0.0
+        for i in range(1, len(abar)):
+            idx = n - 1 + h - i
+            if idx >= 0:
+                acc -= abar[i] * ext[idx]
+        for j in range(1, len(c)):
+            idx = n - 1 + h - j
+            if 0 <= idx < n:  # future noise has expectation zero
+                acc += c[j] * e[idx]
+        ext.append(acc)
+    return float(ext[-1] + trend[-1])

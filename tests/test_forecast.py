@@ -13,6 +13,8 @@ from fleetplan.forecast import (
     _flip_inside_ma_roots, acf, astrom_predict, conditional_expectation_predict,
     difference, forecast_demand, integrate, pacf, r_squared, rls_fit, whiteness_check,
 )
+from oracles import (reference_astrom_predict, reference_conditional_expectation_predict,
+                     reference_rls_fit)
 from test_acceptance import _integrated_arma_series
 
 
@@ -356,3 +358,123 @@ class TestRecoveryEndToEnd:
         assert err < 0.15
         _, white = whiteness_check(resid[250:], 20, n_params=7)
         assert white
+
+
+@st.composite
+def orders(draw):
+    p, d, q = draw(st.integers(0, 4)), draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    assume(p + d + q >= 1)
+    return ArimaOrder(p, d, q)
+
+
+@st.composite
+def series(draw):
+    """Constant, stepped, spiked (up to inf or nan), near-1e150 or
+    random-walk series, with lengths on both sides of what a fit of order
+    (4, 2, 4) needs."""
+    n = draw(st.one_of(st.integers(1, 30), st.integers(80, 160)))
+    kind = draw(st.sampled_from(["constant", "stepped", "spiked", "huge", "walk"]))
+    base = draw(st.floats(-1e3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "constant":
+        return [base] * n
+    if kind == "stepped":
+        at = draw(st.integers(0, n))
+        return [base] * at + [base + draw(st.floats(-1e6, 1e6))] * (n - at)
+    if kind == "spiked":
+        xs = [base] * n
+        xs[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [1e6, -1e12, 1e150, 1e300, math.inf, -math.inf, math.nan]))
+        return xs
+    if kind == "huge":
+        return list(1e150 * (1.0 + 1e-3 * rng.standard_normal(n)))
+    return list(base + np.cumsum(rng.standard_normal(n)))
+
+
+def _same_outcome(call, reference):
+    """Run both; they return the same value or raise the same error."""
+    try:
+        want = reference()
+    except (ValueError, ArithmeticError) as err:
+        with pytest.raises(type(err)) as got:
+            call()
+        assert str(got.value) == str(err)
+        return None
+    return call(), want
+
+
+class TestExactness:
+    """The vectorised fit and filters equal the scalar loops in
+    tests/oracles.py to the last bit, signs of zero included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(xs=series(), order=orders(), lam=st.sampled_from([0.91, 0.95, 0.98, 0.99, 1.0]),
+           k=st.integers(1, 12))
+    def test_fit_and_its_predictions(self, xs, order, lam, k):
+        with np.errstate(all="ignore"):
+            out = _same_outcome(lambda: rls_fit(xs, order, lam),
+                                lambda: reference_rls_fit(xs, order, lam))
+            if out is None:
+                return
+            (model, resid), (want, want_resid) = out
+            assert repr(model) == repr(want)
+            assert np.array_equal(resid, want_resid)
+            assert resid.tobytes() == want_resid.tobytes()
+            for predict, reference in (
+                    (astrom_predict, reference_astrom_predict),
+                    (conditional_expectation_predict,
+                     reference_conditional_expectation_predict)):
+                out = _same_outcome(lambda: predict(model, xs, k),
+                                    lambda: reference(model, xs, k))
+                if out is not None:
+                    assert repr(out[0]) == repr(out[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(xs=series(), order=orders(), k=st.integers(1, 12), mean=st.floats(-1e3, 1e3),
+           ar=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           ma=st.one_of(st.lists(st.floats(-0.24, 0.24), min_size=4, max_size=4),
+                        st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)))
+    def test_predictors_on_drawn_models(self, xs, order, k, mean, ar, ma):
+        model = ArimaModel(order, ar[:order.p], ma[:order.q], mean, 1.0)
+        with np.errstate(all="ignore"):
+            for predict, reference in (
+                    (astrom_predict, reference_astrom_predict),
+                    (conditional_expectation_predict,
+                     reference_conditional_expectation_predict)):
+                out = _same_outcome(lambda: predict(model, xs, k),
+                                    lambda: reference(model, xs, k))
+                if out is not None:
+                    assert repr(out[0]) == repr(out[1])
+
+
+class TestFiniteFits:
+    def test_flip_overflow_raises(self):
+        # a root of modulus 1e-160 scales the variance by 1e320
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalBreakdownError):
+                _flip_inside_ma_roots(np.array([1e160]), 1e10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(xs=st.one_of(series(), st.lists(st.floats(), min_size=1, max_size=100)),
+           order=orders(), lam=st.floats(0.9, 1.0, exclude_min=True))
+    def test_fit_is_finite_or_raises(self, xs, order, lam):
+        try:
+            with np.errstate(all="ignore"):
+                model, resid = rls_fit(xs, order, lam)
+        except (NumericalBreakdownError, SeriesTooShortError):
+            return
+        assert all(map(math.isfinite, model.ar_coeffs + model.ma_coeffs))
+        assert math.isfinite(model.series_mean)
+        assert math.isfinite(model.noise_variance)
+        assert np.isfinite(resid).all()
+
+    def test_covariance_stats(self):
+        y = _integrated_arma_series(0)[:300]
+        stats = {}
+        rls_fit(y, ArimaOrder(3, 1, 4), 0.99, stats)
+        assert set(stats) == {"covariance_trace", "covariance_condition"}
+        assert 0.0 < stats["covariance_trace"] < 7e6
+        assert 1.0 <= stats["covariance_condition"] < math.inf
+        bare = {}
+        rls_fit(y, ArimaOrder(0, 1, 0), 0.99, bare)
+        assert bare == {}
