@@ -103,29 +103,51 @@ class DemandSeries:
         return self.values[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class ProcurementPlan:
-    """Decision variables: vessels and operators to buy each week."""
+    """Decision variables: vessels and operators to buy each week.
 
-    vessel_buys: tuple[int, ...]
-    operator_buys: tuple[int, ...]
+    The plan is one gene tuple, the H vessel buys and then the H operator
+    buys; vessel_buys, operator_buys and horizon are read from it.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "vessel_buys", tuple(map(int, self.vessel_buys)))
-        object.__setattr__(self, "operator_buys", tuple(map(int, self.operator_buys)))
-        if len(self.vessel_buys) != len(self.operator_buys):
+    genes: tuple[int, ...]
+
+    def __init__(self, vessel_buys, operator_buys):
+        vessel_buys, operator_buys = tuple(map(int, vessel_buys)), tuple(map(int, operator_buys))
+        if len(vessel_buys) != len(operator_buys):
             raise ValueError("vessel and operator buy vectors must have equal length")
-        if len(self.vessel_buys) < 1:
+        if len(vessel_buys) < 1:
             raise ValueError("plan must cover at least one week")
-        for name in ("vessel_buys", "operator_buys"):
-            values = getattr(self, name)
+        for name, values in (("vessel_buys", vessel_buys), ("operator_buys", operator_buys)):
             if min(values) < 0:
                 i = next(i for i, v in enumerate(values) if v < 0)
                 raise ValueError(f"{name} for week {i + 1} must be >= 0, got {values[i]}")
+        object.__setattr__(self, "genes", vessel_buys + operator_buys)
+
+    @classmethod
+    def _of(cls, genes: tuple[int, ...]) -> "ProcurementPlan":
+        """A plan of genes that already hold what __init__ checks: 2H >= 2
+        ints, none negative.  Breeding and repair build plans this way,
+        since they only swap, floor at zero or add units."""
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "genes", genes)
+        return plan
 
     @property
     def horizon(self) -> int:
-        return len(self.vessel_buys)
+        return len(self.genes) // 2
+
+    @property
+    def vessel_buys(self) -> tuple[int, ...]:
+        return self.genes[:len(self.genes) // 2]
+
+    @property
+    def operator_buys(self) -> tuple[int, ...]:
+        return self.genes[len(self.genes) // 2:]
+
+    def __repr__(self) -> str:
+        return f"ProcurementPlan({self.vessel_buys!r}, {self.operator_buys!r})"
 
     @classmethod
     def zero(cls, horizon: int) -> "ProcurementPlan":
@@ -204,17 +226,23 @@ def save_config(path: str | Path, costs: CostParams, fleet: FleetParams) -> None
 
 
 def load_demand(path: str | Path) -> DemandSeries:
-    """Read a week,demand CSV; weeks must run 1..N contiguously."""
+    """Read a week,demand CSV; weeks must run 1..N contiguously.
+
+    A week,demand,source file, such as the forecast.csv that forecast
+    writes, reads the same way: each row still needs all three cells,
+    and the source cell is ignored.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["week", "demand"]:
-            raise ConfigError(f"demand file must start with 'week,demand', got {header}")
+        if header not in (["week", "demand"], ["week", "demand", "source"]):
+            raise ConfigError(f"demand file must start with 'week,demand' "
+                              f"or 'week,demand,source', got {header}")
         values = []
         for row in reader:
             if not row:
                 continue
-            if len(row) != 2:
+            if len(row) != len(header):
                 raise ConfigError(f"malformed demand row: {row}")
             week = _parse_int("week", row[0])
             if week != len(values) + 1:

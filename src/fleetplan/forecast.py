@@ -326,10 +326,13 @@ def astrom_predict(model: ArimaModel, history, k: int) -> float:
     _, g = diophantine_split(c, abar, k)
     n = len(y)
     # G part: one whole-array pass per coefficient, adding g_j y(t-j) in
-    # j order onto 0.0, the scalar sum's order for every t
+    # j order onto 0.0, the scalar sum's order for every t; a term that
+    # overflows leaves an inf (or a nan, once infs of both signs meet),
+    # which forecast_demand reports as a non-finite prediction
     u = np.zeros(n)
-    for j in range(min(len(g), n)):
-        u[j:] += g[j] * y[:n - j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(min(len(g), n)):
+            u[j:] += g[j] * y[:n - j]
     # 1/C part: z(t) = u(t) - c_1 z(t-1) - ... in plain floats; the first
     # q samples skip the lags before the start rather than multiply zeros,
     # which could flip the sign of a zero
@@ -372,10 +375,12 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
     abar = _poly_a(model)
     n = len(y)
     # AR part of the noise estimate: y(t) + abar_1 y(t-1) + ..., one
-    # whole-array pass per coefficient in i order
+    # whole-array pass per coefficient in i order; an overflow leaves a
+    # non-finite value, as in astrom_predict
     u = y.copy()
-    for i in range(1, min(len(abar), n)):
-        u[i:] += abar[i] * y[:n - i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, min(len(abar), n)):
+            u[i:] += abar[i] * y[:n - i]
     # MA part: e(t) = u(t) - c_1 e(t-1) - ... in plain floats, the first q
     # samples without the lags before the start
     e = u.tolist()

@@ -72,12 +72,9 @@ def reduce_plan(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams
     initial_cost = current_cost
     reductions: list[Reduction] = []
     while True:
-        genes = current.vessel_buys + current.operator_buys
-        trials = {}
-        for i, amount in enumerate(genes):
-            if amount:
-                trimmed = genes[:i] + (amount - 1,) + genes[i + 1:]
-                trials[i] = ProcurementPlan(trimmed[:h], trimmed[h:])
+        genes = current.genes
+        trials = {i: ProcurementPlan._of(genes[:i] + (amount - 1,) + genes[i + 1:])
+                  for i, amount in enumerate(genes) if amount}
         outcomes = simulate_batch(list(trials.values()), demand, params, costs)
         best = None  # ((cost, -week, kind), plan); kind 0 is vessels
         for (i, trial), cost in zip(trials.items(), outcomes):

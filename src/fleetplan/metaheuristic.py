@@ -157,27 +157,23 @@ def roulette_select(population: list[ProcurementPlan], weights: list[float],
 
 def crossover(a: ProcurementPlan, b: ProcurementPlan, rng: Random,
               rate: float) -> tuple[ProcurementPlan, ProcurementPlan]:
-    """Uniform per-week swap of the (vessel, operator) purchase pair."""
-    av, ao = list(a.vessel_buys), list(a.operator_buys)
-    bv, bo = list(b.vessel_buys), list(b.operator_buys)
-    for i in range(len(av)):
-        if rng.random() < rate:
-            av[i], bv[i] = bv[i], av[i]
-            ao[i], bo[i] = bo[i], ao[i]
-    return (ProcurementPlan(tuple(av), tuple(ao)),
-            ProcurementPlan(tuple(bv), tuple(bo)))
+    """Uniform per-week swap of the (vessel, operator) purchase pair:
+    genes i and i + H swap together."""
+    ga, gb = list(a.genes), list(b.genes)
+    h, draw = a.horizon, rng.random
+    for i in range(h):
+        if draw() < rate:
+            j = i + h
+            ga[i], gb[i], ga[j], gb[j] = gb[i], ga[i], gb[j], ga[j]
+    return ProcurementPlan._of(tuple(ga)), ProcurementPlan._of(tuple(gb))
 
 
 def mutate(plan: ProcurementPlan, magnitude: int, config: SolverConfig,
            rng: Random) -> ProcurementPlan:
     """Per-gene jitter of up to +-magnitude units, floored at zero."""
-    genes = [*plan.vessel_buys, *plan.operator_buys]
     rate, gate, jitter = config.base_mutation_rate, rng.random, rng.randint
-    for i, gene in enumerate(genes):
-        if gate() < rate:
-            genes[i] = max(0, gene + jitter(-magnitude, magnitude))
-    h = plan.horizon
-    return ProcurementPlan(tuple(genes[:h]), tuple(genes[h:]))
+    return ProcurementPlan._of(tuple([max(0, gene + jitter(-magnitude, magnitude))
+                                      if gate() < rate else gene for gene in plan.genes]))
 
 
 def mutation_magnitude(temperature: float, config: SolverConfig) -> int:
@@ -246,12 +242,12 @@ class _Evaluator:
 
 
 def _random_plan(horizon: int, demand: DemandSeries, rng: Random) -> ProcurementPlan:
+    """A uniform random plan: every vessel buy is drawn before any operator buy."""
     hi_v = max(2, 2 * max(demand))
     hi_o = 4 * hi_v
-    return ProcurementPlan(
-        tuple(rng.randint(0, hi_v) for _ in range(horizon)),
-        tuple(rng.randint(0, hi_o) for _ in range(horizon)),
-    )
+    draw = rng.randint
+    return ProcurementPlan._of(tuple([draw(0, hi_v) for _ in range(horizon)]
+                                     + [draw(0, hi_o) for _ in range(horizon)]))
 
 
 def _mean(costs_: list[Decimal]) -> Decimal:

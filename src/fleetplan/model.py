@@ -184,7 +184,6 @@ class Kernel(NamedTuple):
 
     demand: DemandSeries
     params: FleetParams
-    instruct_capacity: int
     num: int  # attrition rate = num / den
     den: int
     # scaled prices: a (vessel, operator) purchase including the trainee's
@@ -208,7 +207,7 @@ class Kernel(NamedTuple):
     def arrays(self, plans: list[ProcurementPlan]) -> tuple[np.ndarray, np.ndarray]:
         """(buys, demand): buys[b, i] = (vessel, operator) buys of plan b in
         week i+1, and the demand series, int64 when the bound allows."""
-        rows = [p.vessel_buys + p.operator_buys for p in plans]
+        rows = [p.genes for p in plans]
         try:
             buys = np.array(rows, dtype=np.int64)
             dtype = np.int64 if buys.max() <= self.entry_limit else object
@@ -274,8 +273,8 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
     for a in arrays:  # every caller of the cache shares them
         a.flags.writeable = False
     buy_prices, shop_prices, last_wear, keep = arrays
-    return Kernel(demand, params, params.instruct_capacity, num, den, buy_prices, pt,
-                  shop_prices, exponent, width, last_wear, keep, max(entry_limit, -1))
+    return Kernel(demand, params, num, den, buy_prices, pt, shop_prices, exponent, width,
+                  last_wear, keep, max(entry_limit, -1))
 
 
 def _take(pool: np.ndarray, before: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -334,7 +333,7 @@ def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: n
     # crews and instructors against the ready pools
     upto = np.add.accumulate(ready, axis=2)
     avail = upto[:, :, -1]
-    instructors = -(-buys[:, 1] // k.instruct_capacity)
+    instructors = -(-buys[:, 1] // k.params.instruct_capacity)
     need = np.multiply.outer(demand, _CREW)
     need[:, 1] += instructors
     short = need - avail
@@ -497,7 +496,7 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
             # G*(ceil(ob/G) - shortfall).
             clamp = (code == 3) & ~bumped_ops[fat]
             if clamp.any():
-                g = k.instruct_capacity
+                g = k.params.instruct_capacity
                 ob = buys[fat[clamp], 1]
                 ob_max = g * (-(-ob // g) - short[clamp])
                 if np.any(ob_max >= ob):  # strict progress is guaranteed
@@ -535,10 +534,13 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
                       "instructor_clamps": clamps, "bumps_vessels": bumps[1],
                       "bumps_operators": bumps[2], "bumps_instructors": bumps[3]})
     totals = cost_of.reshape(n, span).sum(axis=1).tolist()
-    fixed = buys.reshape(n, span, 2)[:, :h].transpose(0, 2, 1).tolist()
+    # a bump only adds units and a clamp floors at zero, so every row of
+    # buys is a valid plan's genes: vessels, then operators
+    fixed = buys.reshape(n, span, 2)[:, :h].transpose(0, 2, 1).reshape(n, 2 * h).tolist()
     return [_unrepairable(SHORTFALL_CODES[stuck[b]], int(stuck_by[b]), demand, params)
             if stuck[b] else
-            (ProcurementPlan(*fixed[b]) if tries[b] else plan, k.decimal(totals[b], True))
+            (ProcurementPlan._of(tuple(fixed[b])) if tries[b] else plan,
+             k.decimal(totals[b], True))
             for b, plan in enumerate(plans)]
 
 

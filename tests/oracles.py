@@ -13,6 +13,13 @@ reference_simulate is a per-unit simulator: it keeps one wear value
 (accumulated maintenance weeks) per unit and shares no code with
 fleetplan.model, so it checks the pooled simulator's bookkeeping.
 
+reference_crossover, reference_mutate and reference_random_plan are the
+GA's breeding operators as they were on a plan's two buy tuples, each
+child built through the checking ProcurementPlan constructor.  From equal
+Random states they must breed equal plans and leave equal states.
+checked_plan rebuilds a plan through that constructor, for plans that
+breeding, repair and reduction build without its checks.
+
 reference_rls_fit, reference_astrom_predict and
 reference_conditional_expectation_predict are the forecaster's scalar
 loops as they were before its filters and fit were vectorised: one
@@ -24,6 +31,7 @@ its results must equal these exactly.
 from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal
+from random import Random
 
 import numpy as np
 
@@ -33,6 +41,7 @@ from fleetplan.forecast import (ArimaModel, ArimaOrder, NumericalBreakdownError,
                                 _flip_inside_ma_roots, _poly_a, _poly_c, _trend, _variance,
                                 difference, diophantine_split)
 from fleetplan.greedy import reduce_plan, seed_plan
+from fleetplan.metaheuristic import SolverConfig
 from fleetplan.model import kernel, simulate, step_week
 
 
@@ -51,7 +60,7 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
     """
     horizon = params.horizon
     seeded, _ = reduce_plan(seed_plan(demand, params, costs), demand, params, costs)
-    if max(seeded.vessel_buys + seeded.operator_buys, default=0) > max_buy:
+    if max(seeded.genes) > max_buy:
         raise ValueError("greedy seed exceeds max_buy; instance outside oracle domain")
     k = kernel(demand, params, costs)
     # every (vessel, operator) choice of a week, vessels major, one row each
@@ -169,6 +178,50 @@ def reference_simulate(plan: ProcurementPlan, demand: DemandSeries, params: Flee
                                 + o_new),
         })
     return records, sum((rec["week_cost"] for rec in records), Decimal(0))
+
+
+def checked_plan(plan: ProcurementPlan) -> ProcurementPlan:
+    """plan rebuilt through the checking constructor, asserting that the
+    two are equal and hash equal and that every gene is a plain int: the
+    checks plan skipped could not have failed."""
+    again = ProcurementPlan(plan.vessel_buys, plan.operator_buys)
+    assert plan == again and hash(plan) == hash(again)
+    assert all(type(gene) is int for gene in plan.genes)
+    return again
+
+
+def reference_crossover(a: ProcurementPlan, b: ProcurementPlan, rng: Random,
+                        rate: float) -> tuple[ProcurementPlan, ProcurementPlan]:
+    """Uniform per-week swap of the (vessel, operator) purchase pair."""
+    av, ao = list(a.vessel_buys), list(a.operator_buys)
+    bv, bo = list(b.vessel_buys), list(b.operator_buys)
+    for i in range(len(av)):
+        if rng.random() < rate:
+            av[i], bv[i] = bv[i], av[i]
+            ao[i], bo[i] = bo[i], ao[i]
+    return (ProcurementPlan(tuple(av), tuple(ao)),
+            ProcurementPlan(tuple(bv), tuple(bo)))
+
+
+def reference_mutate(plan: ProcurementPlan, magnitude: int, config: SolverConfig,
+                     rng: Random) -> ProcurementPlan:
+    """Per-gene jitter of up to +-magnitude units, floored at zero."""
+    genes = [*plan.vessel_buys, *plan.operator_buys]
+    rate, gate, jitter = config.base_mutation_rate, rng.random, rng.randint
+    for i, gene in enumerate(genes):
+        if gate() < rate:
+            genes[i] = max(0, gene + jitter(-magnitude, magnitude))
+    h = plan.horizon
+    return ProcurementPlan(tuple(genes[:h]), tuple(genes[h:]))
+
+
+def reference_random_plan(horizon: int, demand: DemandSeries, rng: Random) -> ProcurementPlan:
+    hi_v = max(2, 2 * max(demand))
+    hi_o = 4 * hi_v
+    return ProcurementPlan(
+        tuple(rng.randint(0, hi_v) for _ in range(horizon)),
+        tuple(rng.randint(0, hi_o) for _ in range(horizon)),
+    )
 
 
 def reference_rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,

@@ -327,6 +327,7 @@ class TestForecastCommand:
         assert code == 5
         assert "polynomial split lost the low-order terms" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_prediction_exit_5(self, tmp_path, capsys):
         # demand tripling weekly fits an AR(1) near 3, whose far predictions
         # overflow to inf
@@ -336,6 +337,25 @@ class TestForecastCommand:
                     "--horizon", 700, "--out-dir", tmp_path / "fo"])
         assert code == 5
         assert "prediction is inf" in capsys.readouterr().err
+
+    def test_forecast_then_solve_then_validate(self, tmp_path, capsys):
+        # forecast.csv is a demand file: solve plans over the observed
+        # weeks and the forecast ones, and validate accepts the schedule
+        history = tmp_path / "history.csv"
+        assert run(["gen-demand", "--horizon", 40, "--seed", 11,
+                    "--level", 3, "--volatility", 0.25, "--out", history]) == 0
+        assert run(["forecast", "--demand", history, "--order", "1,0,1",
+                    "--horizon", 4, "--out-dir", tmp_path / "fc"]) == 0
+        config = tmp_path / "config.txt"
+        save_config(config, COSTS, FleetParams(instruct_capacity=10,
+                                               attrition_rate=Decimal("0.1"),
+                                               initial_vessels=6, initial_operators=24,
+                                               horizon=44))
+        files = ["--config", config, "--demand", tmp_path / "fc" / "forecast.csv"]
+        assert run(["solve", *files, "--seed", 0, "--out-dir", tmp_path / "run"]
+                   + FAST_SOLVE) == 0
+        assert run(["validate", *files, "--schedule", tmp_path / "run" / "schedule.csv"]) == 0
+        assert "OK" in capsys.readouterr().out
 
     def test_numerical_failure_exit_5(self, demand104, tmp_path, capsys, monkeypatch):
         def boom(*a, **kw):

@@ -177,6 +177,14 @@ class TestDemandIO:
         with pytest.raises(ConfigError, match="malformed"):
             load_demand(path)
 
+    def test_source_column_ignored(self, tmp_path):
+        path = tmp_path / "forecast.csv"
+        path.write_text("week,demand,source\n1,5,observed\n2,3,forecast\n")
+        assert load_demand(path) == DemandSeries((5, 3))
+        path.write_text("week,demand,source\n1,5,observed\n2,3\n")
+        with pytest.raises(ConfigError, match="malformed"):
+            load_demand(path)
+
     def test_negative_demand(self, tmp_path):
         path = tmp_path / "demand.csv"
         path.write_text("week,demand\n1,-2\n")

@@ -157,6 +157,16 @@ class TestPredictors:
         with pytest.raises(NoninvertibleMAError):
             conditional_expectation_predict(model, [1.0, 2.0, 3.0], 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_filter_is_non_finite_without_warning(self):
+        # a history at the top of the float range: each predictor's
+        # whole-array pass overflows, and the prediction comes back
+        # non-finite for forecast_demand to report, with no numpy warning
+        model = ar1_model(a=2.7, mean=0.0)
+        hist = [1e307 * 3.0 ** i for i in range(4)] + [1.7e308]
+        assert not math.isfinite(astrom_predict(model, hist, 1))
+        assert not math.isfinite(conditional_expectation_predict(model, hist, 1))
+
     def test_bad_step_and_empty_history(self):
         model = ar1_model()
         with pytest.raises(ValueError):

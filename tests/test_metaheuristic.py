@@ -5,15 +5,17 @@ from decimal import Decimal
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 from fleetplan.greedy import UnseedableError
 from fleetplan.metaheuristic import (
-    AnnealSchedule, SolverConfig, anneal_step, crossover, mutation_magnitude,
+    AnnealSchedule, SolverConfig, _random_plan, anneal_step, crossover, mutation_magnitude,
     mutate, roulette_select, selection_weights, solve, solve_plain_ga,
     write_trace_csv,
 )
 from fleetplan.model import UnrepairableError, validate
+from oracles import checked_plan, reference_crossover, reference_mutate, reference_random_plan
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
                    Decimal("10"), Decimal("15"))
@@ -121,6 +123,34 @@ class TestVariationOperators:
         for seed in range(10):
             out = mutate(plan, 5, cfg, Random(seed))
             assert all(v >= 0 for v in out.vessel_buys + out.operator_buys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gene_tuple_operators_match_tuple_pairs(self, data):
+        # the operators on one gene tuple breed what the tuple-pair ones
+        # bred, from and to the same Random state, and every plan they
+        # build unchecked passes the public constructor's checks
+        horizon = data.draw(st.integers(1, 30))
+        genes = st.lists(st.integers(0, 40), min_size=horizon, max_size=horizon)
+        a = ProcurementPlan(data.draw(genes), data.draw(genes))
+        b = ProcurementPlan(data.draw(genes), data.draw(genes))
+        cfg = SolverConfig(crossover_rate=data.draw(st.floats(0, 1)),
+                           base_mutation_rate=data.draw(st.floats(0, 1)))
+        magnitude = data.draw(st.integers(1, 50))
+        seed = data.draw(st.integers(0, 2 ** 64))
+        new, old = Random(seed), Random(seed)
+        children = crossover(a, b, new, cfg.crossover_rate)
+        assert children == reference_crossover(a, b, old, cfg.crossover_rate)
+        assert new.getstate() == old.getstate()
+        mutants = [mutate(child, magnitude, cfg, new) for child in children]
+        assert mutants == [reference_mutate(child, magnitude, cfg, old) for child in children]
+        assert new.getstate() == old.getstate()
+        demand = DemandSeries(data.draw(genes))
+        drawn = _random_plan(horizon, demand, new)
+        assert drawn == reference_random_plan(horizon, demand, old)
+        assert new.getstate() == old.getstate()
+        for plan in (*children, *mutants, drawn):
+            checked_plan(plan)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

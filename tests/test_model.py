@@ -14,7 +14,7 @@ from fleetplan.model import (
     repair_and_simulate, repair_batch, simulate, simulate_batch, step_week, validate,
     write_schedule_csv,
 )
-from oracles import ReferenceShortfall, reference_simulate
+from oracles import ReferenceShortfall, checked_plan, reference_simulate
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
                    Decimal("10"), Decimal("15"))
@@ -440,6 +440,7 @@ class TestBatch:
                     err.week, err.code, err.shortfall, str(err))
                 continue
             assert got[0] == fixed
+            checked_plan(got[0])
             fitness = got[1]
             if sched.total_cost < 10 ** 27:
                 assert str(fitness) == str(sched.total_cost)
