@@ -18,13 +18,13 @@ class ConfigError(ValueError):
     """A config or demand file could not be parsed or failed validation."""
 
 
+class NumericalBreakdownError(ArithmeticError):
+    """A computed value lost finiteness or the precision it needs."""
+
+
 def round_half_up(x: float) -> int:
     """Round a float to the nearest integer with ties going up (0.5 -> 1)."""
     return math.floor(x + 0.5)
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # Prices must lie below this, so a week's cost (counts times prices,

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import DemandSeries, round_half_up
+from .domain import DemandSeries, NumericalBreakdownError, round_half_up
 
 
 class SeriesTooShortError(ValueError):
@@ -61,10 +61,6 @@ class DegenerateSeriesError(ValueError):
 
 class NoninvertibleMAError(ValueError):
     """The moving-average polynomial has a root on or inside the unit circle."""
-
-
-class NumericalBreakdownError(ArithmeticError):
-    """The RLS covariance lost positive-definiteness."""
 
 
 @dataclass(frozen=True)

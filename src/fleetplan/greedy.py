@@ -15,16 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
-from .model import InfeasibleError, UnrepairableError, repair, simulate, simulate_batch
-
-
-class UnseedableError(Exception):
-    """Week-1 demand exceeds the initial fleet; no purchase plan helps."""
-
-    def __init__(self, week: int, detail: str):
-        self.week = week
-        self.detail = detail
-        super().__init__(f"week {week}: {detail}")
+from .model import InfeasibleError, repair, simulate, simulate_batch
 
 
 @dataclass(frozen=True)
@@ -49,11 +40,9 @@ class GreedyTrace:
 
 def seed_plan(demand: DemandSeries, params: FleetParams,
               costs: CostParams) -> ProcurementPlan:
-    """Feasible just-in-time plan grown from zero purchases."""
-    try:
-        return repair(ProcurementPlan.zero(len(demand)), demand, params, costs)
-    except UnrepairableError as err:
-        raise UnseedableError(err.week, err.detail) from None
+    """Feasible just-in-time plan grown from zero purchases; raises
+    UnrepairableError when week-1 demand exceeds the initial fleet."""
+    return repair(ProcurementPlan.zero(len(demand)), demand, params, costs)
 
 
 def reduce_plan(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,

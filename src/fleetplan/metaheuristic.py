@@ -32,12 +32,13 @@ import csv
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from pathlib import Path
 from random import Random
 
-from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan, round_half_up
+from .domain import (CostParams, DemandSeries, FleetParams, NumericalBreakdownError,
+                     ProcurementPlan, round_half_up)
 from .greedy import reduce_plan, seed_plan
 # repair_and_simulate is not called here; perfbench wraps it by this name
 from .model import (Schedule, UnrepairableError, repair_and_simulate,  # noqa: F401
@@ -53,6 +54,15 @@ REHEAT_EPS = 1e-9
 _STALL_GENERATIONS = 200
 
 
+def _require_finite(settings) -> None:
+    """Reject a non-finite float field by name: nan passes every range
+    check, and inf overflows the mutation magnitude."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Temperature program: start, geometric cooling, termination floor."""
@@ -62,6 +72,7 @@ class AnnealSchedule:
     termination_temp: float = 0.01
 
     def __post_init__(self):
+        _require_finite(self)
         if self.initial_temp <= 0:
             raise ValueError(f"initial_temp must be > 0, got {self.initial_temp}")
         if not (0 < self.cooling_coeff < 1):
@@ -80,6 +91,7 @@ class SolverConfig:
     max_iterations: int = 200_000  # cap on fitness evaluations
 
     def __post_init__(self):
+        _require_finite(self)
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         for name in ("crossover_rate", "base_mutation_rate"):
@@ -142,7 +154,11 @@ def anneal_step(temperature: float, improved: bool, schedule: AnnealSchedule) ->
 def selection_weights(costs_: list[Decimal]) -> list[float]:
     """Minimization transform: weight = max(cost) - cost + 1."""
     top = max(costs_)
-    return [float(top - c) + 1.0 for c in costs_]
+    weights = [float(top - c) + 1.0 for c in costs_]
+    if not math.isfinite(sum(weights)):
+        raise NumericalBreakdownError(f"selection weights overflow the float range: "
+                                      f"the population's costs span {top - min(costs_)}")
+    return weights
 
 
 def roulette_select(population: list[ProcurementPlan], weights: list[float],
@@ -178,7 +194,12 @@ def mutate(plan: ProcurementPlan, magnitude: int, config: SolverConfig,
 
 def mutation_magnitude(temperature: float, config: SolverConfig) -> int:
     """Mutation step size: scales with temperature, floor at 1."""
-    return max(1, round_half_up(config.mutation_magnitude_per_temp * temperature))
+    step = config.mutation_magnitude_per_temp * temperature
+    if not math.isfinite(step):
+        raise NumericalBreakdownError(
+            f"mutation magnitude overflows the float range: mutation_magnitude_per_temp "
+            f"{config.mutation_magnitude_per_temp!r} x temperature {temperature!r}")
+    return max(1, round_half_up(step))
 
 
 class _Evaluator:

@@ -46,7 +46,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from decimal import MAX_PREC, Decimal, InvalidOperation, Overflow, localcontext
+from decimal import MAX_PREC, Decimal, InvalidOperation, Overflow, getcontext, localcontext
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -144,7 +144,8 @@ class Schedule:
 
     @property
     def total_cost(self) -> Decimal:
-        return sum((r.week_cost for r in self.records), Decimal(0))
+        with localcontext(prec=MAX_PREC):
+            return sum((r.week_cost for r in self.records), Decimal(0))
 
 
 def discard_vessel(maint_weeks: int, costs: CostParams) -> bool:
@@ -221,14 +222,12 @@ class Kernel(NamedTuple):
     def decimal(self, cost, total: bool = False) -> Decimal:
         """A kernel cost as the Decimal that exact arithmetic on the
         prices gives: a week's terms share the least price exponent.  A
-        total sums from Decimal(0), so its exponent is at most 0, and,
-        like Schedule.total_cost, it rounds to Decimal's precision."""
+        total, like Schedule.total_cost, sums from Decimal(0), so its
+        exponent is at most 0."""
         n, e = int(cost), self.exponent
-        if not total:
-            return Decimal(f"{n}E{e}")
-        if e > 0:
+        if total and e > 0:
             n, e = n * 10 ** e, 0
-        return +Decimal(f"{n}E{e}")
+        return Decimal(f"{n}E{e}")
 
 
 @lru_cache(maxsize=32)
@@ -711,13 +710,17 @@ def write_schedule_csv(path: str | Path, schedule: Schedule) -> None:
 
 
 def _finite_decimal(cell: str) -> Decimal:
-    """Decimal(cell), or ValueError unless it is a finite number."""
+    """Decimal(cell), or ValueError unless it is a finite number inside
+    the default context's exponent range, which bounds the digits of the
+    exact sums Schedule.total_cost takes."""
     try:
         value = Decimal(cell)
     except InvalidOperation:
         raise ValueError(f"not a number: {cell!r}") from None
     if not value.is_finite():
         raise ValueError(f"not a finite number: {cell!r}")
+    if value.as_tuple().exponent < getcontext().Etiny() or value.adjusted() > getcontext().Emax:
+        raise ValueError(f"exponent out of range: {cell!r}")
     return value
 
 

@@ -45,7 +45,6 @@ from fleetplan.forecast import (
     rls_fit,
     whiteness_check,
 )
-from fleetplan.greedy import UnseedableError
 from fleetplan.metaheuristic import (
     AnnealSchedule,
     SolverConfig,
@@ -98,7 +97,7 @@ def test_01_small_instances_match_exhaustive_search():
         demand, params, costs = _tiny_instance(rng)
         try:
             best_plan, best_cost = brute_force_optimum(demand, params, costs, max_buy=8)
-        except (UnseedableError, ValueError):
+        except (UnrepairableError, ValueError):
             # unstaffable from the initial fleet, or the minimal feasible
             # plan already exceeds the per-week bound of the tiny domain
             continue

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -202,10 +202,63 @@ class TestSolveValidate:
                                 horizon=2))
         save_demand(tmp_path / "demand.csv", DemandSeries((10 ** 30, 1)))
         files = ["--config", tmp_path / "config.txt", "--demand", tmp_path / "demand.csv"]
-        assert run(["solve", *files, "--out-dir", tmp_path / "run",
-                    "--population", 4, "--max-evals", 20]) == 0
-        assert run(["validate", *files, "--schedule", tmp_path / "run" / "schedule.csv"]) == 0
-        assert "OK" in capsys.readouterr().out
+        out = tmp_path / "run"
+        assert run(["solve", *files, "--out-dir", out, "--population", 4, "--max-evals", 20]) == 0
+        assert run(["validate", *files, "--schedule", out / "schedule.csv"]) == 0
+        stdout = capsys.readouterr().out
+        assert "OK" in stdout
+        # every total is exact: the week costs' sum, the totals row, the
+        # manifest, the trace's last best cost and the printed best cost
+        rows = [line.split(",") for line in (out / "schedule.csv").read_text().splitlines()]
+        with localcontext(prec=MAX_PREC):
+            exact = str(sum(Decimal(row[-1]) for row in rows[1:-1]))
+        manifest = dict(line.split(" = ", 1)
+                        for line in (out / "run.manifest").read_text().splitlines())
+        trace_best = (out / "trace.csv").read_text().splitlines()[-1].split(",")[2]
+        assert len(exact) > 28
+        assert [rows[-1][-1], manifest["best_cost"], trace_best] == [exact] * 3
+        assert f"best cost {exact}," in stdout
+        # bench's median over two seeds is a mean of two, exact as well
+        results = tmp_path / "bench" / "results.csv"
+        assert run(["bench", *files, "--seeds", 2, "--population", 4, "--max-evals", 20,
+                    "--out", results]) == 0
+        capsys.readouterr()
+        costs = {(row[0], row[1]): row[2]
+                 for row in (line.split(",") for line in results.read_text().splitlines()[1:])}
+        with localcontext(prec=MAX_PREC):
+            want = (Decimal(costs["plain", "0"]) + Decimal(costs["plain", "1"])) / 2
+        assert len(costs["plain", "0"]) > 28
+        assert costs["plain", "median"] == str(want)
+        assert costs["hybrid", "median"] == costs["hybrid", "0"] == exact
+
+    @pytest.mark.parametrize("flags, code, message", [
+        pytest.param(["--t0", "nan"], 2, "initial_temp must be finite", id="t0-nan"),
+        pytest.param(["--termination", "nan"], 2, "termination_temp must be finite",
+                     id="termination-nan"),
+        pytest.param(["--t0", "inf"], 2, "initial_temp must be finite", id="t0-inf"),
+        pytest.param(["--mutation-magnitude", "1e307"], 5, "mutation magnitude overflows",
+                     id="mutation-magnitude-1e307"),
+        # mutations near 10^306 breed costs whose spread no float holds
+        pytest.param(["--t0", "1e308"], 5, "selection weights overflow", id="t0-1e308"),
+    ])
+    def test_solver_settings_past_float_range(self, workdir, capsys, flags, code, message):
+        got = run(["solve", "--config", workdir / "config.txt", "--demand", workdir / "demand.csv",
+                   "--out-dir", workdir / "run", "--population", 4, "--max-evals", 20, *flags])
+        assert got == code
+        assert message in capsys.readouterr().err
+
+    def test_bench_selection_weights_past_float_range(self, tmp_path, capsys):
+        # the plain GA's random plans on a 10^320 fleet cost up to ~10^323
+        big = 10 ** 320
+        save_config(tmp_path / "config.txt", COSTS,
+                    FleetParams(instruct_capacity=10, attrition_rate=Decimal("0"),
+                                initial_vessels=big, initial_operators=5 * big, horizon=2))
+        save_demand(tmp_path / "demand.csv", DemandSeries((big, big)))
+        code = run(["bench", "--config", tmp_path / "config.txt",
+                    "--demand", tmp_path / "demand.csv", "--seeds", 1, "--population", 4,
+                    "--max-evals", 20, "--out", tmp_path / "bench" / "results.csv"])
+        assert code == 5
+        assert "numerical failure: selection weights overflow" in capsys.readouterr().err
 
     def test_infeasible_instance_exit_3(self, workdir, capsys):
         save_demand(workdir / "hopeless.csv", DemandSeries((9, 2, 2, 2, 2, 2)))
@@ -498,6 +551,9 @@ class TestFuzzedSchedule:
     @example(row=len(DEMAND) + 1, col=5, text="-7", retotal=False)
     @example(row=len(DEMAND) + 1, col=12, text="@\ngarbage", retotal=False)
     @example(row=1, col=11, text=str(10 ** 30), retotal=True)
+    # totals are summed exactly, so the reader bounds a cost's exponent
+    # before a sum could need 10^9 digits
+    @example(row=2, col=12, text="1E-999999999", retotal=True)
     def test_schedule_cell(self, solved_k20, row, col, text, retotal):
         files, schedule = solved_k20
         rows = [line.split(",") for line in schedule.splitlines()]
@@ -579,6 +635,61 @@ class TestFuzzedForecast:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = run(["forecast", "--demand", demand104, "--out-dir", Path(tmp) / "fc",
                             *(f"--{name}={value}" for name, value in flags.items())])
+        assert code in range(6)
+
+
+# the fuzzed solve and bench flags; seed only solve has, seeds and
+# seed-base only bench
+_RUN_FLAGS = ("seed", "seeds", "seed-base", "scenario", "population", "t0", "cooling",
+              "termination", "crossover-rate", "mutation-rate", "mutation-magnitude",
+              "max-evals")
+# the largest value drawn for a flag whose larger values only make a run long
+_RUN_LENGTH_CAPS = {"population": 12, "seeds": 3, "max-evals": 200}
+
+
+def _run_flag_case(flag):
+    floats = (st.floats(max_value=0.99) | st.floats(min_value=1.0) if flag == "cooling"
+              else st.floats())
+    text = st.one_of(st.integers(-10 ** 40, _RUN_LENGTH_CAPS.get(flag, 10 ** 40)).map(str),
+                     st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "-0", "0",
+                                      "", " ", "base", "k20", "fast"]),
+                     floats.map(repr),
+                     st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+    return st.tuples(st.just(flag), text)
+
+
+class TestFuzzedRunFlags:
+    """solve or bench with one of its own flags replaced ends in a
+    documented exit code, never a traceback out of main().  Population,
+    seeds and max-evals are drawn at or below _RUN_LENGTH_CAPS, and
+    cooling outside (0.99, 1), since larger values only make a run long
+    and are left untested."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzzed_run_flags")
+        save_config(tmp / "config.txt", COSTS, FLEET)
+        save_demand(tmp / "demand.csv", DEMAND)
+        return ["--config", tmp / "config.txt", "--demand", tmp / "demand.csv"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(_RUN_FLAGS).flatmap(_run_flag_case), bench=st.booleans())
+    @example(case=("t0", "nan"), bench=False)
+    @example(case=("termination", "nan"), bench=False)
+    @example(case=("t0", "inf"), bench=True)
+    @example(case=("mutation-magnitude", "1e307"), bench=False)
+    @example(case=("t0", "1e308"), bench=True)
+    def test_flag(self, inputs, case, bench):
+        flag, text = case
+        bench = flag in ("seeds", "seed-base") or (bench and flag != "seed")
+        flags = {"population": "4", "t0": "20", "cooling": "0.85", "termination": "0.5",
+                 "max-evals": "20"}
+        flags[flag] = text
+        with tempfile.TemporaryDirectory() as tmp:
+            out = (["bench", "--seeds=1", "--out", Path(tmp) / "bench" / "results.csv"] if bench
+                   else ["solve", "--out-dir", Path(tmp) / "run"])
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = run([*out, *inputs, *(f"--{name}={value}" for name, value in flags.items())])
         assert code in range(6)
 
 

@@ -3,11 +3,10 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fleetplan.domain import (
     CONFIG_KEYS, ConfigError, CostParams, DemandSeries, FleetParams,
-    ProcurementPlan, ceil_div, gen_demand, load_config, load_demand,
+    ProcurementPlan, gen_demand, load_config, load_demand,
     round_half_up, save_config, save_demand,
 )
 
@@ -26,13 +25,6 @@ class TestRounding:
     def test_integers_fixed(self):
         for v in range(-3, 7):
             assert round_half_up(float(v)) == v
-
-    @given(st.integers(min_value=0, max_value=10 ** 6),
-           st.integers(min_value=1, max_value=10 ** 4))
-    def test_ceil_div(self, a, b):
-        assert ceil_div(a, b) == -(-a // b)
-        assert (ceil_div(a, b) - 1) * b < a or a == 0
-        assert ceil_div(a, b) * b >= a
 
 
 class TestParams:

@@ -5,8 +5,8 @@ from decimal import Decimal
 import pytest
 
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
-from fleetplan.greedy import UnseedableError, reduce_plan, seed_plan
-from fleetplan.model import simulate, validate
+from fleetplan.greedy import reduce_plan, seed_plan
+from fleetplan.model import UnrepairableError, simulate, validate
 from oracles import checked_plan
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
@@ -52,7 +52,7 @@ def test_seed_covers_attrition_churn():
 
 
 def test_seed_week1_infeasible():
-    with pytest.raises(UnseedableError) as e:
+    with pytest.raises(UnrepairableError) as e:
         seed_plan(DemandSeries((3, 1)), params(2, 20, horizon=2), COSTS)
     assert e.value.week == 1
 

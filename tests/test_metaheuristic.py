@@ -7,8 +7,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
-from fleetplan.greedy import UnseedableError
+from fleetplan.domain import (CostParams, DemandSeries, FleetParams, NumericalBreakdownError,
+                              ProcurementPlan, round_half_up)
 from fleetplan.metaheuristic import (
     AnnealSchedule, SolverConfig, _random_plan, anneal_step, crossover, mutation_magnitude,
     mutate, roulette_select, selection_weights, solve, solve_plain_ga,
@@ -61,6 +61,17 @@ class TestAnnealStep:
         with pytest.raises(ValueError):
             AnnealSchedule(termination_temp=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, name", [
+        (AnnealSchedule, "initial_temp"), (AnnealSchedule, "cooling_coeff"),
+        (AnnealSchedule, "termination_temp"), (SolverConfig, "crossover_rate"),
+        (SolverConfig, "base_mutation_rate"), (SolverConfig, "mutation_magnitude_per_temp"),
+    ])
+    def test_non_finite_settings_rejected_by_name(self, cls, name, value):
+        # nan passes every range comparison, so finiteness is checked first
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**{name: value})
+
 
 class TestVariationOperators:
     def test_mutation_magnitude_scales_with_temperature(self):
@@ -73,6 +84,22 @@ class TestVariationOperators:
     def test_selection_weights(self):
         assert selection_weights([Decimal(100), Decimal(300)]) == [201.0, 1.0]
         assert selection_weights([Decimal(7)]) == [1.0]
+
+    def test_selection_weights_past_float_range(self):
+        with pytest.raises(NumericalBreakdownError, match="selection weights overflow"):
+            selection_weights([Decimal("1E+309"), Decimal(0)])
+        # each weight finite, their total not
+        with pytest.raises(NumericalBreakdownError, match="selection weights overflow"):
+            selection_weights([Decimal("1E+308"), Decimal(0), Decimal(0)])
+
+    def test_mutation_magnitude_past_float_range(self):
+        cfg = SolverConfig(mutation_magnitude_per_temp=1.79e306)
+        assert mutation_magnitude(100.0, cfg) == round_half_up(1.79e308)
+        # a reheat lifts the temperature past the start, and the product
+        # past float range
+        hot = anneal_step(100.0, True, AnnealSchedule(cooling_coeff=0.999))
+        with pytest.raises(NumericalBreakdownError, match="mutation magnitude overflows"):
+            mutation_magnitude(hot, cfg)
 
     def test_roulette_prefers_cheap(self):
         a, b = ProcurementPlan((1,), (0,)), ProcurementPlan((0,), (1,))
@@ -217,7 +244,7 @@ class TestSolve:
 
     def test_infeasible_instance_raises(self):
         p = params(0, 4, horizon=2)
-        with pytest.raises(UnseedableError):
+        with pytest.raises(UnrepairableError):
             solve(DemandSeries((1, 1)), p, COSTS)
 
     def test_eval_budget_respected(self):

@@ -442,16 +442,27 @@ class TestBatch:
             assert got[0] == fixed
             checked_plan(got[0])
             fitness = got[1]
-            if sched.total_cost < 10 ** 27:
-                assert str(fitness) == str(sched.total_cost)
-            else:  # Schedule.total_cost rounds at every week (CHANGES.md)
-                with localcontext(prec=MAX_PREC):
-                    exact = sum(r.week_cost for r in sched.records)
-                assert fitness == +exact
+            assert str(fitness) == str(sched.total_cost)
             if small and max(fixed.vessel_buys + fixed.operator_buys) < 1000:
                 records, total = reference_simulate(fixed, demand, p, costs)
                 assert [dataclasses.asdict(r) for r in sched.records] == records
                 assert str(fitness) == str(total)
+
+    def test_totals_beyond_decimal_precision(self):
+        # attrition of 10^30 units at K = 0.1: week 2 costs 4.95 * 10^31,
+        # and week 1's 100 must survive in every total
+        p = FleetParams(instruct_capacity=10, attrition_rate=Decimal("0.1"),
+                        initial_vessels=10 ** 30, initial_operators=5 * 10 ** 30, horizon=2)
+        demand = DemandSeries((10 ** 30, 1))
+        plan = ProcurementPlan((1, 0), (0, 0))
+        [(fixed, fitness)] = repair_batch([plan], demand, p, COSTS)
+        [cost] = simulate_batch([plan], demand, p, COSTS)
+        sched = simulate(fixed, demand, p, COSTS)
+        with localcontext(prec=MAX_PREC):
+            exact = sum(r.week_cost for r in sched.records)
+        assert fixed == plan
+        assert str(fitness) == str(cost) == str(sched.total_cost) == str(exact)
+        assert exact == 49500000000000000000000000000100
 
     def test_mixed_batch(self):
         # the golden small instance: a week-1 intake of 5 with G = 2 and
