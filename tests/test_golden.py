@@ -32,6 +32,12 @@ TRACE_SHA256 = "ee54c9f2bcd7d718042aedf85ed72b2537b8e5723bd0a9e7b43e183f14c9d39a
 BENCH_RESULTS_SHA256 = "b14193787d717a06210f149df4328cac5a0029672e34460094fc826ad676e831"
 BENCH_TRACE_HYBRID_SHA256 = "ffe0bde059d35a823b50fb1de9263779b811075bffce2058e45439312003ac2e"
 BENCH_TRACE_PLAIN_SHA256 = "29d7998d8c16707e5d7e9b4860c65a18740bf02c59fb133030e44b48b2297dd3"
+# the README solve's stats.csv; rows_stepped and kernel_rounds count the
+# repair loop's work, so a cheaper loop may lower them without moving the rest
+README_STATS = (("evaluations", 15629), ("cache_hits", 31), ("unrepairable", 0),
+                ("bumps_vessels", 4515), ("bumps_operators", 4344),
+                ("bumps_instructors", 1885), ("instructor_clamps", 2145),
+                ("rows_stepped", 429987), ("kernel_rounds", 10051), ("greedy_reductions", 1))
 
 
 def _sha256(path) -> str:
@@ -63,6 +69,8 @@ def test_readme_solve_is_byte_identical(tmp_path, capsys):
     assert manifest["evals_to_best"] == "15600"
     assert _sha256(run_dir / "schedule.csv") == SCHEDULE_SHA256
     assert _sha256(run_dir / "trace.csv") == TRACE_SHA256
+    assert (run_dir / "stats.csv").read_text().splitlines() == [
+        "counter,value", *(f"{name},{value}" for name, value in README_STATS)]
 
 
 def test_readme_bench_is_byte_identical(tmp_path, capsys):
