@@ -34,7 +34,12 @@ simulate, repair_and_simulate and the batch entry points simulate_batch
 and repair_batch all drive step_week.  Repair keeps a per-plan week
 cursor over a state history of H+1 slots per plan: each kernel round
 advances every unfinished plan one week, and a plan whose week failed
-is clamped and retries the week, or is bumped and rewinds one week.
+is clamped and retries the week, or is bumped.  A bump buys in the week
+before the failure, and a purchase enters its week's step only as
+wear-0 intake, its price and, for operators, ceil(intake/G)
+instructors; so a bump that needs no more instructors is added to the
+stored week in place and the plan retries the failed week, and only a
+bump that needs more instructors rewinds one week.
 
 validate() re-derives the constraint set from schedule records alone and
 shares no code with step_week, so the two act as independent checks on
@@ -195,7 +200,7 @@ class Kernel(NamedTuple):
     exponent: int
     width: int
     last_wear: np.ndarray  # (2,) per kind, the wear that is discarded on its next shop week
-    keep: np.ndarray  # (2, W) True where a survivor stays below its kind's discard wear
+    keep: np.ndarray  # (2, W) int64, 1 where a survivor stays below its kind's discard wear, else 0
     entry_limit: int
 
     def start(self, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +259,7 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
              _first_discard(lambda w: discard_operator(w, costs), h + 1))
     width = max(first)
     last_wear = np.array(first) - 1
-    keep = np.arange(width) < last_wear[:, None]
+    keep = (np.arange(width) < last_wear[:, None]).astype(np.int64)
 
     stock = max(params.initial_vessels, params.initial_operators)
     peak = max(demand.values)
@@ -274,12 +279,6 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
     buy_prices, shop_prices, last_wear, keep = arrays
     return Kernel(demand, params, num, den, buy_prices, pt, shop_prices, exponent, width,
                   last_wear, keep, max(entry_limit, -1))
-
-
-def _take(pool: np.ndarray, before: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The n units of each pool row taken lowest wear first, given before,
-    each row's count below every wear; n may exceed the row."""
-    return np.minimum(np.maximum(n[..., None] - before, 0), pool)
 
 
 class Week(NamedTuple):
@@ -311,12 +310,13 @@ def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: n
     if buys.min() < 0 or demand.min() < 0:
         raise ValueError("purchases and demand must be >= 0")
 
-    # attrition strikes last week's working units; survivors go to the shop
+    # attrition strikes last week's working units, lowest wear first: of
+    # the upto[w] units at or below wear w, all but the destroyed survive
     if k.num:
         upto = np.add.accumulate(in_use, axis=2)
         worked = upto[:, :, -1]
         destroyed = (2 * k.num * worked + k.den) // (2 * k.den)
-        survivors = in_use - _take(in_use, upto - in_use, destroyed)
+        survivors = np.minimum(np.maximum(upto - destroyed[..., None], 0), in_use)
         surviving = worked - destroyed
     else:
         destroyed = np.zeros(in_use.shape[:2], dtype=in_use.dtype)
@@ -326,29 +326,39 @@ def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: n
     # discard wear are discarded on entry, take no slot and cost nothing
     discards = survivors[:, _KINDS, k.last_wear]
     shop = surviving - discards
-    maint = np.zeros_like(survivors)
-    maint[:, :, 1:] = np.where(k.keep, survivors, 0)[:, :, :-1]
 
     # crews and instructors against the ready pools
     upto = np.add.accumulate(ready, axis=2)
     avail = upto[:, :, -1]
-    instructors = -(-buys[:, 1] // k.params.instruct_capacity)
+    g = k.params.instruct_capacity
+    instructors = (buys[:, 1] + (g - 1)) // g
     need = np.multiply.outer(demand, _CREW)
     need[:, 1] += instructors
     short = need - avail
-    short_v, short_g = short[:, 0], short[:, 1]
-    short_o = short_g - instructors
-    lack_v, lack_o, lack_g = short_v > 0, short_o > 0, short_g > 0
-    code = np.where(lack_v, 1, np.where(lack_o, 2, 3 * lack_g))
-    shortfall = np.where(lack_v, short_v, np.where(lack_o, short_o, np.where(lack_g, short_g, 0)))
+    if short.max() > 0:
+        short_v, short_g = short[:, 0], short[:, 1]
+        short_o = short_g - instructors
+        lack_v, lack_o, lack_g = short_v > 0, short_o > 0, short_g > 0
+        code = np.where(lack_v, 1, np.where(lack_o, 2, 3 * lack_g))
+        shortfall = np.where(lack_v, short_v,
+                             np.where(lack_o, short_o, np.where(lack_g, short_g, 0)))
+    else:  # every row staffed its week
+        code = np.zeros(len(short), dtype=np.int64)
+        shortfall = np.zeros(len(short), dtype=short.dtype)
 
-    # instructors, then crews, then vessels, each lowest wear first
-    before = upto - ready
-    use = _take(ready, before, need)
-    use[:, 1] -= _take(ready[:, 1], before[:, 1], instructors)
-    # next week's ready pools: the idle, the shop, the instructors and the intake
-    nxt = ready - use + maint
+    # instructors, then crews, then vessels, each lowest wear first: a
+    # kind's deployed units are those whose place in the count lies past
+    # its instructors and below its need
+    low = upto - ready
+    np.maximum(low[:, 1], instructors[:, None], out=low[:, 1])
+    use = np.minimum(upto, need[..., None])
+    use -= low
+    np.maximum(use, 0, out=use)
+    # next week's ready pools: the idle, the instructors, the intake and
+    # the shop, one wear up
+    nxt = ready - use
     nxt[:, :, 0] += buys
+    nxt[:, :, 1:] += (survivors * k.keep)[:, :, :-1]
 
     cost = buys @ k.buy_prices + shop @ k.shop_prices + instructors * k.training_price
     return Week(code, shortfall, nxt, use, cost, destroyed, discards, shop, instructors)
@@ -430,9 +440,12 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     Returns, per plan, the repaired plan and its total cost, or the
     UnrepairableError that ends its repair.  Each simulator-reported
     shortfall is answered with the minimal extra purchase at the latest
-    week the one-week lead time allows (the week before the failure),
-    and that plan's simulation resumes from that week rather than from
-    scratch; weeks before the bump are unaffected by it.
+    week the one-week lead time allows (the week before the failure);
+    weeks before the bump are unaffected by it.  The bumped week changes
+    only by the extra wear-0 intake and its price unless the bump raises
+    its instructor count, so the plan adds those to the stored week and
+    retries the failed one; a bump that needs more instructors reruns
+    the bumped week instead.
 
     One exception cuts a purchase instead of adding one: when a week's
     instructor pool cannot cover the plan's own operator purchase and no
@@ -446,14 +459,17 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     week too late.
 
     Every kernel round steps each unfinished plan at its own week
-    cursor.  stats, if given, counts the rounds, the rows they stepped,
-    the bumps per shortfall code and the instructor clamps.
+    cursor and stores every row's week in the plan's next slot; the few
+    rows that failed are then answered one by one in Python ints.
+    stats, if given, counts the rounds, the rows they stepped, the bumps
+    per shortfall code and the instructor clamps.
     """
     _check_horizon(plans, demand, params)
     if not plans:
         return []
     k = kernel(demand, params, costs)
     h, n = params.horizon, len(plans)
+    g = params.instruct_capacity
     span = h + 1
     # slot b*span + i holds plan b's state after i completed weeks, the
     # purchases and demand of week i+1, and the cost of week i
@@ -464,71 +480,72 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     in_use_at = np.zeros_like(ready_at)
     cost_of = np.zeros(n * span, dtype=buys.dtype)
     ready_at[::span] = k.start(n, buys.dtype)[0]
-    bumped_ops = np.zeros(n * span, dtype=bool)
     pos = np.arange(0, n * span, span)  # each plan's week cursor, as a slot
-    stuck = np.zeros(n, dtype=np.intp)  # the week-1 shortfall code of an unrepairable plan
-    stuck_by = np.zeros(n, dtype=object)
+    bumped_ops = set()  # slots whose operator purchases a bump raised
+    stuck = {}  # plan -> the UnrepairableError of its week-1 shortfall
     # generous guard against a runaway loop; every bump adds >= 1 purchase
     limit = 100 + 20 * (sum(demand) * 5 + h)
-    tries = np.zeros(n, dtype=np.int64)  # failed steps per plan
+    tries = [0] * n  # failed steps per plan
+    bumps = [0] * 4  # per shortfall code
     rounds = stepped = clamps = 0
-    bump_codes = [np.zeros(0, dtype=np.intp)]
     rows = np.arange(n)
     while rows.size:
         rounds += 1
         stepped += rows.size
         at = pos[rows]
         w = step_week(ready_at[at], in_use_at[at], buys[at], dem[at], k)
-        ok = w.code == 0
-        if ok.all():
-            r, done, ready, in_use, cost = rows, at, w.ready, w.in_use, w.cost
-        else:
-            r, done, ready, in_use, cost = rows[ok], at[ok], w.ready[ok], w.in_use[ok], w.cost[ok]
-            bad = ~ok
-            fr, fat, code, short = rows[bad], at[bad], w.code[bad], w.shortfall[bad]
-            tries[fr] += 1
-            if rounds > limit and tries.max() > limit:
+        # every row's week goes to its next slot: a failed row's cursor
+        # stays at or before its slot, so it rewrites that slot before it
+        # passes it again
+        nxt = at + 1
+        ready_at[nxt] = w.ready
+        in_use_at[nxt] = w.in_use
+        cost_of[nxt] = w.cost
+        pos[rows] = nxt
+        for j in np.flatnonzero(w.code).tolist():
+            b, a, code, short = int(rows[j]), int(at[j]), int(w.code[j]), int(w.shortfall[j])
+            tries[b] += 1
+            if rounds > limit and tries[b] > limit:
                 raise RuntimeError("repair failed to converge; model invariant broken")
-            # a gratuitous intake: shrink it to what the instructors can
-            # teach and retry the week.  shortfall = 4R + ceil(ob/G) -
-            # available, hence the largest instructable intake is
-            # G*(ceil(ob/G) - shortfall).
-            clamp = (code == 3) & ~bumped_ops[fat]
-            if clamp.any():
-                g = k.params.instruct_capacity
-                ob = buys[fat[clamp], 1]
-                ob_max = g * (-(-ob // g) - short[clamp])
-                if np.any(ob_max >= ob):  # strict progress is guaranteed
+            if code == 3 and a not in bumped_ops:
+                # a gratuitous intake: shrink it to what the instructors
+                # can teach and retry the week.  shortfall = 4R +
+                # ceil(ob/G) - available, hence the largest instructable
+                # intake is G*(ceil(ob/G) - shortfall).
+                ob = int(buys[a, 1])
+                ob_max = g * (-(-ob // g) - short)
+                if ob_max >= ob:  # strict progress is guaranteed
                     raise RuntimeError("instructor clamp failed to shrink the intake")
-                buys[fat[clamp], 1] = np.maximum(ob_max, 0)
-                clamps += int(clamp.sum())
-                rest = ~clamp
-                fr, fat, code, short = fr[rest], fat[rest], code[rest], short[rest]
-            # buy the shortfall a week earlier and rerun from that week;
-            # week 1 has no earlier week
-            week1 = fat % span == 0
-            if week1.any():
-                stuck[fr[week1]], stuck_by[fr[week1]] = code[week1], short[week1]
-                pos[fr[week1]] = fat[week1] + h
-                rest = ~week1
-                fr, fat, code, short = fr[rest], fat[rest], code[rest], short[rest]
-            fat -= 1
-            kind = np.minimum(code - 1, 1)  # vessels for a vessel shortfall, else operators
-            buys[fat, kind] += short
-            bumped_ops[fat] |= kind == 1
-            pos[fr] = fat
-            bump_codes.append(code)
-            if buys.dtype != object and fr.size and buys[fat, kind].max() > k.entry_limit:
+                buys[a, 1] = max(ob_max, 0)
+                clamps += 1
+                pos[b] = a
+                continue
+            if a % span == 0:  # week 1 has no earlier week to buy in
+                stuck[b] = _unrepairable(SHORTFALL_CODES[code], short, demand, params)
+                pos[b] = a + h
+                continue
+            # buy the shortfall a week earlier: vessels for a vessel
+            # shortfall, else operators
+            bumps[code] += 1
+            kind = min(code - 1, 1)
+            was = int(buys[a - 1, kind])
+            if buys.dtype != object and was + short > k.entry_limit:
                 buys, dem, ready_at, in_use_at, cost_of = (
-                    a.astype(object) for a in (buys, dem, ready_at, in_use_at, cost_of))
-        done += 1
-        ready_at[done] = ready
-        in_use_at[done] = in_use
-        cost_of[done] = cost
-        pos[r] = done
+                    x.astype(object) for x in (buys, dem, ready_at, in_use_at, cost_of))
+            buys[a - 1, kind] = was + short
+            if kind:
+                bumped_ops.add(a - 1)
+                if -(-(was + short) // g) != -(-was // g):
+                    pos[b] = a - 1  # more instructors: rerun the week before with them
+                    continue
+            # otherwise the purchase reaches the week it was bought for
+            # only as wear-0 intake and cost: add both to the stored week
+            # and retry the failed one
+            ready_at[a, kind, 0] += short
+            cost_of[a] += short * int(k.buy_prices[kind])
+            pos[b] = a
         rows = rows[pos[rows] % span < h]
     if stats is not None:
-        bumps = np.bincount(np.concatenate(bump_codes), minlength=4).tolist()
         stats.update({"kernel_rounds": rounds, "rows_stepped": stepped,
                       "instructor_clamps": clamps, "bumps_vessels": bumps[1],
                       "bumps_operators": bumps[2], "bumps_instructors": bumps[3]})
@@ -536,8 +553,7 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     # a bump only adds units and a clamp floors at zero, so every row of
     # buys is a valid plan's genes: vessels, then operators
     fixed = buys.reshape(n, span, 2)[:, :h].transpose(0, 2, 1).reshape(n, 2 * h).tolist()
-    return [_unrepairable(SHORTFALL_CODES[stuck[b]], int(stuck_by[b]), demand, params)
-            if stuck[b] else
+    return [stuck[b] if b in stuck else
             (ProcurementPlan._of(tuple(fixed[b])) if tries[b] else plan,
              k.decimal(totals[b], True))
             for b, plan in enumerate(plans)]

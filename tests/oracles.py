@@ -20,6 +20,14 @@ Random states they must breed equal plans and leave equal states.
 checked_plan rebuilds a plan through that constructor, for plans that
 breeding, repair and reduction build without its checks.
 
+reference_step_week and reference_repair_batch are the week kernel and
+the batch repair loop as they were before repair learned to bump a week
+in place: the kernel takes units through one lowest-wear-first helper,
+and the loop masks failed rows out of every round's scatter, answers
+them with vectorised bookkeeping and reruns the week before every bump.
+fleetplan.model must give the same weeks and the same repairs, in no
+more kernel rounds and stepped rows.
+
 reference_rls_fit, reference_astrom_predict and
 reference_conditional_expectation_predict are the forecaster's scalar
 loops as they were before its filters and fit were vectorised: one
@@ -31,6 +39,7 @@ its results must equal these exactly.
 from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -42,7 +51,8 @@ from fleetplan.forecast import (ArimaModel, ArimaOrder, NumericalBreakdownError,
                                 difference, diophantine_split)
 from fleetplan.greedy import reduce_plan, seed_plan
 from fleetplan.metaheuristic import SolverConfig
-from fleetplan.model import kernel, simulate, step_week
+from fleetplan.model import (SHORTFALL_CODES, Kernel, UnrepairableError, Week, _check_horizon,
+                             _unrepairable, kernel, simulate, step_week)
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -178,6 +188,164 @@ def reference_simulate(plan: ProcurementPlan, demand: DemandSeries, params: Flee
                                 + o_new),
         })
     return records, sum((rec["week_cost"] for rec in records), Decimal(0))
+
+
+_KINDS = np.arange(2)
+_CREW = np.array((1, 4))
+
+
+def _take(pool: np.ndarray, before: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The n units of each pool row taken lowest wear first, given before,
+    each row's count below every wear; n may exceed the row."""
+    return np.minimum(np.maximum(n[..., None] - before, 0), pool)
+
+
+def reference_step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray,
+                        demand: np.ndarray, k: Kernel) -> Week:
+    """fleetplan.model.step_week as it was, statement for statement."""
+    if buys.min() < 0 or demand.min() < 0:
+        raise ValueError("purchases and demand must be >= 0")
+
+    # attrition strikes last week's working units; survivors go to the shop
+    if k.num:
+        upto = np.add.accumulate(in_use, axis=2)
+        worked = upto[:, :, -1]
+        destroyed = (2 * k.num * worked + k.den) // (2 * k.den)
+        survivors = in_use - _take(in_use, upto - in_use, destroyed)
+        surviving = worked - destroyed
+    else:
+        destroyed = np.zeros(in_use.shape[:2], dtype=in_use.dtype)
+        survivors = in_use
+        surviving = in_use.sum(axis=2)
+    # one more week of wear; the units it takes to their kind's first
+    # discard wear are discarded on entry, take no slot and cost nothing
+    discards = survivors[:, _KINDS, k.last_wear]
+    shop = surviving - discards
+    maint = np.zeros_like(survivors)
+    maint[:, :, 1:] = np.where(k.keep, survivors, 0)[:, :, :-1]
+
+    # crews and instructors against the ready pools
+    upto = np.add.accumulate(ready, axis=2)
+    avail = upto[:, :, -1]
+    instructors = -(-buys[:, 1] // k.params.instruct_capacity)
+    need = np.multiply.outer(demand, _CREW)
+    need[:, 1] += instructors
+    short = need - avail
+    short_v, short_g = short[:, 0], short[:, 1]
+    short_o = short_g - instructors
+    lack_v, lack_o, lack_g = short_v > 0, short_o > 0, short_g > 0
+    code = np.where(lack_v, 1, np.where(lack_o, 2, 3 * lack_g))
+    shortfall = np.where(lack_v, short_v, np.where(lack_o, short_o, np.where(lack_g, short_g, 0)))
+
+    # instructors, then crews, then vessels, each lowest wear first
+    before = upto - ready
+    use = _take(ready, before, need)
+    use[:, 1] -= _take(ready[:, 1], before[:, 1], instructors)
+    # next week's ready pools: the idle, the shop, the instructors and the intake
+    nxt = ready - use + maint
+    nxt[:, :, 0] += buys
+
+    cost = buys @ k.buy_prices + shop @ k.shop_prices + instructors * k.training_price
+    return Week(code, shortfall, nxt, use, cost, destroyed, discards, shop, instructors)
+
+
+def reference_repair_batch(plans: list[ProcurementPlan], demand: DemandSeries,
+                           params: FleetParams, costs: CostParams, stats: Counter | None = None,
+                           ) -> list[tuple[ProcurementPlan, Decimal] | UnrepairableError]:
+    """fleetplan.model.repair_batch as it was, on reference_step_week:
+    every failure rewinds the plan to the week it bumps."""
+    _check_horizon(plans, demand, params)
+    if not plans:
+        return []
+    k = kernel(demand, params, costs)
+    h, n = params.horizon, len(plans)
+    span = h + 1
+    # slot b*span + i holds plan b's state after i completed weeks, the
+    # purchases and demand of week i+1, and the cost of week i
+    buys, dem = k.arrays(plans)
+    buys = np.concatenate((buys, np.zeros_like(buys[:, :1])), axis=1).reshape(-1, 2)
+    dem = np.tile(np.append(dem, 0), n)
+    ready_at = np.zeros((n * span, 2, k.width), dtype=buys.dtype)
+    in_use_at = np.zeros_like(ready_at)
+    cost_of = np.zeros(n * span, dtype=buys.dtype)
+    ready_at[::span] = k.start(n, buys.dtype)[0]
+    bumped_ops = np.zeros(n * span, dtype=bool)
+    pos = np.arange(0, n * span, span)  # each plan's week cursor, as a slot
+    stuck = np.zeros(n, dtype=np.intp)  # the week-1 shortfall code of an unrepairable plan
+    stuck_by = np.zeros(n, dtype=object)
+    # generous guard against a runaway loop; every bump adds >= 1 purchase
+    limit = 100 + 20 * (sum(demand) * 5 + h)
+    tries = np.zeros(n, dtype=np.int64)  # failed steps per plan
+    rounds = stepped = clamps = 0
+    bump_codes = [np.zeros(0, dtype=np.intp)]
+    rows = np.arange(n)
+    while rows.size:
+        rounds += 1
+        stepped += rows.size
+        at = pos[rows]
+        w = reference_step_week(ready_at[at], in_use_at[at], buys[at], dem[at], k)
+        ok = w.code == 0
+        if ok.all():
+            r, done, ready, in_use, cost = rows, at, w.ready, w.in_use, w.cost
+        else:
+            r, done, ready, in_use, cost = rows[ok], at[ok], w.ready[ok], w.in_use[ok], w.cost[ok]
+            bad = ~ok
+            fr, fat, code, short = rows[bad], at[bad], w.code[bad], w.shortfall[bad]
+            tries[fr] += 1
+            if rounds > limit and tries.max() > limit:
+                raise RuntimeError("repair failed to converge; model invariant broken")
+            # a gratuitous intake: shrink it to what the instructors can
+            # teach and retry the week.  shortfall = 4R + ceil(ob/G) -
+            # available, hence the largest instructable intake is
+            # G*(ceil(ob/G) - shortfall).
+            clamp = (code == 3) & ~bumped_ops[fat]
+            if clamp.any():
+                g = k.params.instruct_capacity
+                ob = buys[fat[clamp], 1]
+                ob_max = g * (-(-ob // g) - short[clamp])
+                if np.any(ob_max >= ob):  # strict progress is guaranteed
+                    raise RuntimeError("instructor clamp failed to shrink the intake")
+                buys[fat[clamp], 1] = np.maximum(ob_max, 0)
+                clamps += int(clamp.sum())
+                rest = ~clamp
+                fr, fat, code, short = fr[rest], fat[rest], code[rest], short[rest]
+            # buy the shortfall a week earlier and rerun from that week;
+            # week 1 has no earlier week
+            week1 = fat % span == 0
+            if week1.any():
+                stuck[fr[week1]], stuck_by[fr[week1]] = code[week1], short[week1]
+                pos[fr[week1]] = fat[week1] + h
+                rest = ~week1
+                fr, fat, code, short = fr[rest], fat[rest], code[rest], short[rest]
+            fat -= 1
+            kind = np.minimum(code - 1, 1)  # vessels for a vessel shortfall, else operators
+            buys[fat, kind] += short
+            bumped_ops[fat] |= kind == 1
+            pos[fr] = fat
+            bump_codes.append(code)
+            if buys.dtype != object and fr.size and buys[fat, kind].max() > k.entry_limit:
+                buys, dem, ready_at, in_use_at, cost_of = (
+                    a.astype(object) for a in (buys, dem, ready_at, in_use_at, cost_of))
+        done += 1
+        ready_at[done] = ready
+        in_use_at[done] = in_use
+        cost_of[done] = cost
+        pos[r] = done
+        rows = rows[pos[rows] % span < h]
+    if stats is not None:
+        bumps = np.bincount(np.concatenate(bump_codes), minlength=4).tolist()
+        stats.update({"kernel_rounds": rounds, "rows_stepped": stepped,
+                      "instructor_clamps": clamps, "bumps_vessels": bumps[1],
+                      "bumps_operators": bumps[2], "bumps_instructors": bumps[3]})
+    totals = cost_of.reshape(n, span).sum(axis=1).tolist()
+    # a bump only adds units and a clamp floors at zero, so every row of
+    # buys is a valid plan's genes: vessels, then operators
+    fixed = buys.reshape(n, span, 2)[:, :h].transpose(0, 2, 1).reshape(n, 2 * h).tolist()
+    return [_unrepairable(SHORTFALL_CODES[stuck[b]], int(stuck_by[b]), demand, params)
+            if stuck[b] else
+            (ProcurementPlan._of(tuple(fixed[b])) if tries[b] else plan,
+             k.decimal(totals[b], True))
+            for b, plan in enumerate(plans)]
 
 
 def checked_plan(plan: ProcurementPlan) -> ProcurementPlan:

@@ -1,20 +1,23 @@
 """Simulator, cost model, validator, and repair."""
 
 import dataclasses
+from collections import Counter
 from decimal import MAX_PREC, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fleetplan import model
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 from fleetplan.model import (
-    SHORTFALL_CODES, InfeasibleError, Schedule, ScheduleFormatError, UnrepairableError,
+    SHORTFALL_CODES, InfeasibleError, Schedule, ScheduleFormatError, UnrepairableError, Week,
     WeekRecord, discard_operator, discard_vessel, kernel, read_schedule_csv, repair,
     repair_and_simulate, repair_batch, simulate, simulate_batch, step_week, validate,
     write_schedule_csv,
 )
-from oracles import ReferenceShortfall, checked_plan, reference_simulate
+from oracles import (ReferenceShortfall, checked_plan, reference_repair_batch,
+                     reference_simulate, reference_step_week)
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
                    Decimal("10"), Decimal("15"))
@@ -332,6 +335,30 @@ class TestRepair:
             repair(ProcurementPlan.zero(3), DemandSeries((1, 1, 2)), p, COSTS)
         assert e.value.week == 1
 
+    @staticmethod
+    def _forged(monkeypatch, code, shortfall):
+        """Make every week step_week steps report code and shortfall."""
+        real = model.step_week
+
+        def forged(*args):
+            w = real(*args)
+            return w._replace(code=np.full_like(w.code, code),
+                              shortfall=np.full_like(w.shortfall, shortfall))
+        monkeypatch.setattr(model, "step_week", forged)
+
+    def test_endless_shortfall_trips_the_convergence_guard(self, monkeypatch):
+        # an instructor shortfall of one on an intake of zero clamps the
+        # intake to zero again, round after round
+        self._forged(monkeypatch, 3, 1)
+        with pytest.raises(RuntimeError, match="repair failed to converge"):
+            repair(ProcurementPlan.zero(1), DemandSeries((0,)), params(1, 4), COSTS)
+
+    def test_clamp_that_cannot_shrink_is_caught(self, monkeypatch):
+        # an instructor shortfall of zero would clamp the intake to itself
+        self._forged(monkeypatch, 3, 0)
+        with pytest.raises(RuntimeError, match="instructor clamp failed to shrink the intake"):
+            repair(ProcurementPlan((0,), (5,)), DemandSeries((0,)), params(1, 4), COSTS)
+
     def test_repair_and_simulate_agrees_with_separate_calls(self):
         p = params(3, 12, k="0.2", horizon=5)
         demand = DemandSeries((2, 2, 3, 2, 3))
@@ -509,6 +536,62 @@ class TestBatch:
         sched = simulate(fixed, demand, p, costs)
         assert cost == sched.total_cost > 2 ** 63
         assert validate(sched, demand, p, costs) == []
+
+
+def _outcome(got):
+    if isinstance(got, UnrepairableError):
+        return ("unrepairable", got.code, got.week, got.shortfall, got.detail)
+    plan, cost = got
+    return ("repaired", plan.genes, str(cost))
+
+
+class TestAgainstReferenceLoop:
+    """step_week and repair_batch against the kernel and the repair loop
+    as they were before repair bumped weeks in place (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_step_week_matches_reference(self, data):
+        _, demand, p, costs = draw_instance(data)
+        k = kernel(demand, p, costs)
+        wide = data.draw(st.booleans())
+        top = 10 ** 30 if wide else 60
+        counts = st.integers(0, top)
+        rows = data.draw(st.integers(1, 5))
+
+        def draw(*shape):
+            return np.array(data.draw(st.lists(counts, min_size=int(np.prod(shape)),
+                                               max_size=int(np.prod(shape)))),
+                            dtype=object if wide else np.int64).reshape(shape)
+        ready, in_use = draw(rows, 2, k.width), draw(rows, 2, k.width)
+        buys, dem = draw(rows, 2), draw(rows) // 4
+        got = step_week(ready, in_use, buys, dem, k)
+        want = reference_step_week(ready, in_use, buys, dem, k)
+        # failed rows included: their fields mean nothing, but they are
+        # the same nothing
+        for name, a, b in zip(Week._fields, got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tolist() == b.tolist(), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_repair_batch_matches_reference(self, data):
+        plan, demand, p, costs = draw_instance(data)
+        # 10^14 leaves some instances in int64 until a bump passes the
+        # entry bound; 10^30 puts them in Python ints from the start
+        unit = data.draw(st.sampled_from([1, 10 ** 14, 10 ** 30]))
+        demand = DemandSeries(tuple(d * unit for d in demand))
+        p = dataclasses.replace(p, initial_vessels=p.initial_vessels * unit,
+                                initial_operators=p.initial_operators * unit)
+        rows = [plan] + [draw_plan(data, p.horizon) for _ in range(data.draw(st.integers(0, 5)))]
+        rows = [_scaled(row, data.draw(st.sampled_from([1, unit]))) for row in rows]
+        got_stats, want_stats = Counter(), Counter()
+        got = repair_batch(rows, demand, p, costs, got_stats)
+        want = reference_repair_batch(rows, demand, p, costs, want_stats)
+        assert [_outcome(x) for x in got] == [_outcome(x) for x in want]
+        for name in ("kernel_rounds", "rows_stepped"):
+            assert got_stats.pop(name) <= want_stats.pop(name)
+        assert got_stats == want_stats
 
 
 class TestScheduleCSV:
