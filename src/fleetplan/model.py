@@ -331,20 +331,15 @@ def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: n
     upto = np.add.accumulate(ready, axis=2)
     avail = upto[:, :, -1]
     g = k.params.instruct_capacity
-    instructors = (buys[:, 1] + (g - 1)) // g
+    instructors = (buys[:, 1] + (g - 1)) // g  # ceil(operator buys / G), as buys >= 0
     need = np.multiply.outer(demand, _CREW)
     need[:, 1] += instructors
     short = need - avail
-    if short.max() > 0:
-        short_v, short_g = short[:, 0], short[:, 1]
-        short_o = short_g - instructors
-        lack_v, lack_o, lack_g = short_v > 0, short_o > 0, short_g > 0
-        code = np.where(lack_v, 1, np.where(lack_o, 2, 3 * lack_g))
-        shortfall = np.where(lack_v, short_v,
-                             np.where(lack_o, short_o, np.where(lack_g, short_g, 0)))
-    else:  # every row staffed its week
-        code = np.zeros(len(short), dtype=np.int64)
-        shortfall = np.zeros(len(short), dtype=short.dtype)
+    short_v, short_g = short[:, 0], short[:, 1]
+    short_o = short_g - instructors
+    lack_v, lack_o, lack_g = short_v > 0, short_o > 0, short_g > 0
+    code = np.where(lack_v, 1, np.where(lack_o, 2, 3 * lack_g))
+    shortfall = np.where(lack_v, short_v, np.where(lack_o, short_o, np.where(lack_g, short_g, 0)))
 
     # instructors, then crews, then vessels, each lowest wear first: a
     # kind's deployed units are those whose place in the count lies past
