@@ -34,12 +34,9 @@ simulate, repair_and_simulate and the batch entry points simulate_batch
 and repair_batch all drive step_week.  Repair keeps a per-plan week
 cursor over a state history of H+1 slots per plan: each kernel round
 advances every unfinished plan one week, and a plan whose week failed
-is clamped and retries the week, or is bumped.  A bump buys in the week
-before the failure, and a purchase enters its week's step only as
-wear-0 intake, its price and, for operators, ceil(intake/G)
-instructors; so a bump that needs no more instructors is added to the
-stored week in place and the plan retries the failed week, and only a
-bump that needs more instructors rewinds one week.
+is clamped and retries the week, or is bumped: a bump that needs no
+more instructors is added to the stored week in place and the failed
+week retried, and one that needs more instructors rewinds one week.
 
 validate() re-derives the constraint set from schedule records alone and
 shares no code with step_week, so the two act as independent checks on
