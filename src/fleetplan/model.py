@@ -3,15 +3,19 @@
 The simulator is one batched week kernel, step_week, which advances B
 plans by one week at once.  Each unit kind (vessels, operators) needs
 only two pools between weeks, the units ready to be staffed and the
-units that just worked, and a pool is a row of counts indexed by
-accumulated maintenance weeks (pool[w] units have worn w weeks) rather
-than a per-unit ledger: every rule in the model depends only on a unit's
-status and its wear, so units at the same wear are interchangeable.  A
-batch holds its pools as (B, 2, W) integer arrays, kind on the middle
-axis, where W is the first discard wear capped at H + 1 (no pool ever
-holds a unit that worn).  Wherever a subset of a pool must be picked
-(deployment, attrition, instructor duty) units are taken lowest wear
-first, which keeps every run deterministic.
+units that just worked, and a pool is a row of counts over accumulated
+maintenance weeks rather than a per-unit ledger: every rule in the model
+depends only on a unit's status and its wear, so units at the same wear
+are interchangeable.  A pool is stored as prefix sums over wear: pool[w]
+units have worn at most w weeks, so pool[-1] is the whole pool and every
+pool is nonnegative and nondecreasing along wear.  A batch holds its
+pools as one (2, 2, W, B) integer array, [ready, in_use] then kind then
+wear, where W is the first discard wear capped at H + 1 (no pool ever
+holds a unit that worn).  The batch is the last axis, so each of the
+kernel's array operations runs over contiguous rows of B counts.
+Wherever a subset of a pool must be picked (deployment, attrition,
+instructor duty) units are taken lowest wear first, which keeps every
+run deterministic and makes each pick a clip of the prefix sums.
 
 Within a week the fixed order of events is:
   attrition on last week's working units -> survivors enter one week of
@@ -31,7 +35,9 @@ proves that no intermediate can overflow, and Python ints (dtype=object)
 otherwise; the same statements run either way.
 
 simulate, repair_and_simulate and the batch entry points simulate_batch
-and repair_batch all drive step_week.  Repair keeps a per-plan week
+and repair_batch all drive step_week, which reports each row's raw
+shortfalls and shop counts; classify_shortfall names a failing row's
+shortfall and Kernel.cost prices a week.  Repair keeps a per-plan week
 cursor over a state history of H+1 slots per plan: each kernel round
 advances every unfinished plan one week, and a plan whose week failed
 is clamped and retries the week, or is bumped: a bump that needs no
@@ -72,7 +78,7 @@ VIOLATION_CODES = frozenset({
 INSUFFICIENT_VESSELS = "INSUFFICIENT_VESSELS"
 INSUFFICIENT_OPERATORS = "INSUFFICIENT_OPERATORS"
 INSUFFICIENT_INSTRUCTORS = "INSUFFICIENT_INSTRUCTORS"
-# step_week's shortfall codes: 0 is a staffed week, else the index here
+# classify_shortfall's codes: 0 is a staffed week, else the index here
 SHORTFALL_CODES = (None, INSUFFICIENT_VESSELS, INSUFFICIENT_OPERATORS, INSUFFICIENT_INSTRUCTORS)
 
 
@@ -163,8 +169,8 @@ def discard_operator(maint_weeks: int, costs: CostParams) -> bool:
 
 
 _INT64_MAX = 2 ** 63 - 1
-_KINDS = np.arange(2)  # the middle axis of a pool array: vessels, operators
-_CREW = np.array((1, 4))  # vessels and operators one deployed robot takes
+_KINDS = np.arange(2)  # the kind axis of a pool array: vessels, operators
+_CREW = np.array((1, 4))[:, None]  # vessels and operators one deployed robot takes
 
 
 def _first_discard(is_discard, cap: int) -> int:
@@ -197,29 +203,47 @@ class Kernel(NamedTuple):
     exponent: int
     width: int
     last_wear: np.ndarray  # (2,) per kind, the wear that is discarded on its next shop week
-    keep: np.ndarray  # (2, W) int64, 1 where a survivor stays below its kind's discard wear, else 0
+    # a survivor kept at wear w (below its kind's last_wear) returns at
+    # wear w+1, so the kept units' prefix sum at wear w is the survivors'
+    # at min(w-1, last_wear-1), or 0 at wear 0 and for a kind that keeps
+    # none: older holds that row as an index into the (2*W, B) survivor
+    # sums with kind and wear flattened, and kept is 0 where the sum is 0
+    older: np.ndarray  # (2, W) intp
+    kept: np.ndarray  # (2, W, 1) int64, 0 or 1
     entry_limit: int
 
-    def start(self, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """Week-0 (ready, in_use) pools: the starting stock idle and fully skilled."""
-        ready = np.zeros((rows, 2, self.width), dtype=dtype)
-        ready[:, 0, 0] = self.params.initial_vessels
-        ready[:, 1, 0] = self.params.initial_operators
-        return ready, np.zeros_like(ready)
+    def start(self, rows: int, dtype) -> np.ndarray:
+        """Week-0 (2, 2, W, B) pools: the starting stock ready at wear 0,
+        nothing in use."""
+        state = np.zeros((2, 2, self.width, rows), dtype=dtype)
+        state[0, 0] = self.params.initial_vessels
+        state[0, 1] = self.params.initial_operators
+        return state
 
-    def arrays(self, plans: list[ProcurementPlan]) -> tuple[np.ndarray, np.ndarray]:
-        """(buys, demand): buys[b, i] = (vessel, operator) buys of plan b in
-        week i+1, and the demand series, int64 when the bound allows."""
+    def inputs(self, plans: list[ProcurementPlan]) -> np.ndarray:
+        """(3, n, H) step_week inputs: plan b's vessel buys, operator buys
+        and demand of week i+1 at [:, b, i], int64 when the bound allows."""
         rows = [p.genes for p in plans]
         try:
-            buys = np.array(rows, dtype=np.int64)
-            dtype = np.int64 if buys.max() <= self.entry_limit else object
+            genes = np.array(rows, dtype=np.int64)
+            if genes.max() > self.entry_limit:
+                genes = np.array(rows, dtype=object)
         except OverflowError:
-            dtype = object
-        if dtype is object:
-            buys = np.array(rows, dtype=object)
-        return (buys.reshape(len(plans), 2, -1).transpose(0, 2, 1),
-                np.array(self.demand.values, dtype=dtype))
+            genes = np.array(rows, dtype=object)
+        n, h = len(plans), len(self.demand)
+        out = np.empty((3, n, h), dtype=genes.dtype)
+        out[:2] = genes.reshape(n, 2, h).transpose(1, 0, 2)
+        out[2] = np.array(self.demand.values, dtype=genes.dtype)
+        return out
+
+    def cost(self, buys: np.ndarray, shop: np.ndarray) -> np.ndarray:
+        """The cost of weeks with (2,) or (2, M) (vessel, operator)
+        purchases and shop counts, in scaled price units (see decimal):
+        the purchases with their trainees' courses, the shop weeks, and
+        ceil(operator buys / G) instructors' charges."""
+        g = self.params.instruct_capacity
+        return (self.buy_prices @ buys + self.shop_prices @ shop
+                + (buys[1] + (g - 1)) // g * self.training_price)
 
     def decimal(self, cost, total: bool = False) -> Decimal:
         """A kernel cost as the Decimal that exact arithmetic on the
@@ -245,6 +269,12 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
     where G is the instructor capacity (a clamped intake lies between
     -4*max(demand)*G and E + G).  entry_limit is the largest such E.  Repair's bumps can raise entries
     past it, so repair_batch checks each bump and widens to Python ints.
+    Storing pools as prefix sums leaves these bounds as they are: the
+    kernel always summed its pools along wear, so every prefix sum was
+    already an intermediate, and a prefix sum never exceeds its pool's
+    total.  Pricing each week's slot once per batch leaves them too: each
+    slot's cost is one week's, which lies under the bound on the sum of
+    a plan's weeks.
     """
     h = params.horizon
     num, den = params.attrition_rate.as_integer_ratio()
@@ -256,7 +286,9 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
              _first_discard(lambda w: discard_operator(w, costs), h + 1))
     width = max(first)
     last_wear = np.array(first) - 1
-    keep = (np.arange(width) < last_wear[:, None]).astype(np.int64)
+    wear = np.arange(width)
+    older = _KINDS[:, None] * width + np.clip(np.minimum(wear, last_wear[:, None]) - 1, 0, None)
+    kept = ((wear >= 1) & (last_wear[:, None] >= 1)).astype(np.int64)[..., None]
 
     stock = max(params.initial_vessels, params.initial_operators)
     peak = max(demand.values)
@@ -270,90 +302,89 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
     entry_limit = min(limits) if fits else -1
     dtype = np.int64 if fits else object
     arrays = (np.array((pv, po + pt), dtype=dtype), np.array((pvm, pom), dtype=dtype),
-              last_wear, keep)
+              last_wear, older, kept)
     for a in arrays:  # every caller of the cache shares them
         a.flags.writeable = False
-    buy_prices, shop_prices, last_wear, keep = arrays
+    buy_prices, shop_prices, last_wear, older, kept = arrays
     return Kernel(demand, params, num, den, buy_prices, pt, shop_prices, exponent, width,
-                  last_wear, keep, max(entry_limit, -1))
+                  last_wear, older, kept, max(entry_limit, -1))
 
 
 class Week(NamedTuple):
-    """step_week's output for B rows.  Row b staffed its week iff
-    code[b] == 0; otherwise shortfall[b] units of SHORTFALL_CODES[code[b]]
-    were missing and its other fields mean nothing."""
+    """step_week's output for B fleets.  Fleet b staffed its week iff no
+    entry of short[:, b] is positive; otherwise classify_shortfall names
+    what was missing and its other fields mean nothing."""
 
-    code: np.ndarray  # (B,)
-    shortfall: np.ndarray  # (B,)
-    ready: np.ndarray  # (B, 2, W) next week's ready pools
-    in_use: np.ndarray  # (B, 2, W) this week's deployed units
-    cost: np.ndarray  # (B,) in scaled price units, see Kernel.decimal
-    destroyed: np.ndarray  # (B, 2) per kind
-    discards: np.ndarray  # (B, 2)
-    maint: np.ndarray  # (B, 2) units in the shop
+    # (2, B) units needed less units ready: vessels, and operators with
+    # the instructors included
+    short: np.ndarray
+    state: np.ndarray  # (2, 2, W, B) next week's ready pools, this week's deployed units
+    maint: np.ndarray  # (2, B) units in the shop, per kind
+    destroyed: np.ndarray  # (2, B)
+    discards: np.ndarray  # (2, B)
     instructors: np.ndarray  # (B,)
 
 
-def step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray, demand: np.ndarray,
-              k: Kernel) -> Week:
+def step_week(state: np.ndarray, inputs: np.ndarray, k: Kernel) -> Week:
     """Advance B fleets one week.
 
-    ready and in_use are last week's (B, 2, W) pools, buys the (B, 2)
-    vessel and operator purchases of the week being entered, and demand
-    the (B,) deployments, all of one dtype.  Each row reports its own
-    shortfall, vessel shortfalls first, then operator deployment, then
-    instructor reservation.
+    state holds last week's (2, 2, W, B) [ready, in_use] pools as prefix
+    sums over wear, and inputs the (3, B) vessel buys, operator buys and
+    demand of the week being entered, both of one dtype.
     """
-    if buys.min() < 0 or demand.min() < 0:
+    if inputs.min() < 0:
         raise ValueError("purchases and demand must be >= 0")
+    ready, in_use = state[0], state[1]
+    buys, demand = inputs[:2], inputs[2]
 
-    # attrition strikes last week's working units, lowest wear first: of
-    # the upto[w] units at or below wear w, all but the destroyed survive
+    # attrition strikes last week's working units, lowest wear first, so
+    # the survivors at or below each wear are all but the destroyed
     if k.num:
-        upto = np.add.accumulate(in_use, axis=2)
-        worked = upto[:, :, -1]
-        destroyed = (2 * k.num * worked + k.den) // (2 * k.den)
-        survivors = np.minimum(np.maximum(upto - destroyed[..., None], 0), in_use)
-        surviving = worked - destroyed
+        destroyed = (2 * k.num * in_use[:, -1] + k.den) // (2 * k.den)
+        survivors = in_use - destroyed[:, None]
+        np.maximum(survivors, 0, out=survivors)
     else:
-        destroyed = np.zeros(in_use.shape[:2], dtype=in_use.dtype)
+        destroyed = np.zeros_like(buys)
         survivors = in_use
-        surviving = in_use.sum(axis=2)
     # one more week of wear; the units it takes to their kind's first
     # discard wear are discarded on entry, take no slot and cost nothing
-    discards = survivors[:, _KINDS, k.last_wear]
-    shop = surviving - discards
+    kept = survivors.reshape(-1, state.shape[-1]).take(k.older, axis=0)
+    kept *= k.kept
+    shop = kept[:, -1]
+    discards = survivors[:, -1] - shop
 
     # crews and instructors against the ready pools
-    upto = np.add.accumulate(ready, axis=2)
-    avail = upto[:, :, -1]
     g = k.params.instruct_capacity
-    instructors = (buys[:, 1] + (g - 1)) // g  # ceil(operator buys / G), as buys >= 0
-    need = np.multiply.outer(demand, _CREW)
-    need[:, 1] += instructors
-    short = need - avail
-    short_v, short_g = short[:, 0], short[:, 1]
-    short_o = short_g - instructors
-    lack_v, lack_o, lack_g = short_v > 0, short_o > 0, short_g > 0
-    code = np.where(lack_v, 1, np.where(lack_o, 2, 3 * lack_g))
-    shortfall = np.where(lack_v, short_v, np.where(lack_o, short_o, np.where(lack_g, short_g, 0)))
+    instructors = (buys[1] + (g - 1)) // g  # ceil(operator buys / G), as buys >= 0
+    need = _CREW * demand
+    need[1] += instructors
+    short = need - ready[:, -1]
 
-    # instructors, then crews, then vessels, each lowest wear first: a
-    # kind's deployed units are those whose place in the count lies past
-    # its instructors and below its need
-    low = upto - ready
-    np.maximum(low[:, 1], instructors[:, None], out=low[:, 1])
-    use = np.minimum(upto, need[..., None])
-    use -= low
+    # instructors, then crews, then vessels, each lowest wear first: at
+    # or below each wear, a kind deploys the units counted past its
+    # instructors and within its need
+    out = np.empty_like(state)
+    nxt, use = out[0], out[1]
+    np.minimum(ready, need[:, None], out=use)
+    use[1] -= instructors
     np.maximum(use, 0, out=use)
-    # next week's ready pools: the idle, the instructors, the intake and
-    # the shop, one wear up
-    nxt = ready - use
-    nxt[:, :, 0] += buys
-    nxt[:, :, 1:] += (survivors * k.keep)[:, :, :-1]
+    # next week's ready pools: the idle, the instructors, the intake at
+    # wear 0 and the shop, one wear up
+    np.subtract(ready, use, out=nxt)
+    nxt += kept
+    nxt += buys[:, None]
+    return Week(short, out, shop, destroyed, discards, instructors)
 
-    cost = buys @ k.buy_prices + shop @ k.shop_prices + instructors * k.training_price
-    return Week(code, shortfall, nxt, use, cost, destroyed, discards, shop, instructors)
+
+def classify_shortfall(short_v: int, short_g: int, instructors: int) -> tuple[int, int]:
+    """A week's (code, shortfall) from a row of step_week's short and its
+    instructor count: vessels first, then operator deployment, then
+    instructor reservation; (0, 0) for a staffed week."""
+    if short_v > 0:
+        return 1, short_v
+    if short_g > instructors:
+        return 2, short_g - instructors
+    return (3, short_g) if short_g > 0 else (0, 0)
 
 
 def _check_horizon(plans: list[ProcurementPlan], demand: DemandSeries,
@@ -370,21 +401,24 @@ def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
     the first unstaffable week."""
     _check_horizon([plan], demand, params)
     k = kernel(demand, params, costs)
-    buys, dem = k.arrays([plan])
-    ready, in_use = k.start(1, buys.dtype)
+    inputs = k.inputs([plan])[:, 0]
+    state = k.start(1, inputs.dtype)
     records = []
     for i in range(params.horizon):
-        w = step_week(ready, in_use, buys[:, i], dem[i:i + 1], k)
-        if w.code[0]:
-            raise InfeasibleError(SHORTFALL_CODES[w.code[0]], i + 1, int(w.shortfall[0]))
-        ready, in_use = w.ready, w.in_use
+        w = step_week(state, inputs[:, i:i + 1], k)
+        [instructors] = w.instructors.tolist()
+        code, short = classify_shortfall(*w.short[:, 0].tolist(), instructors)
+        if code:
+            raise InfeasibleError(SHORTFALL_CODES[code], i + 1, short)
+        state = w.state
         # everything owned at the end of the week is ready for the next or deployed
-        owned = ready.sum(axis=2) + in_use.sum(axis=2)
-        (cb, ob), (dv, do), (sv, so), (mv, mo), (ov, oo) = (
-            a[0].tolist() for a in (buys[:, i], w.discards, w.destroyed, w.maint, owned))
-        records.append(WeekRecord(i + 1, cb, ob, dv, do, sv, so, mv, mo,
-                                  int(w.instructors[0]), ob, demand[i],
-                                  k.decimal(w.cost[0]), ov, oo))
+        owned = state[:, :, -1, 0].sum(axis=0)
+        (cb, ob, _), (dv, do), (sv, so), (mv, mo), (ov, oo) = (
+            a.tolist() for a in (inputs[:, i], w.discards[:, 0], w.destroyed[:, 0],
+                                 w.maint[:, 0], owned))
+        records.append(WeekRecord(i + 1, cb, ob, dv, do, sv, so, mv, mo, instructors, ob,
+                                  demand[i], k.decimal(k.cost(inputs[:2, i], w.maint[:, 0])),
+                                  ov, oo))
     return Schedule(tuple(records))
 
 
@@ -396,21 +430,21 @@ def simulate_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: F
     if not plans:
         return []
     k = kernel(demand, params, costs)
-    buys, dem = k.arrays(plans)
-    dem = np.broadcast_to(dem, buys.shape[:2])
-    ready, in_use = k.start(len(plans), buys.dtype)
-    total = np.zeros(len(plans), dtype=buys.dtype)
-    code = np.zeros(len(plans), dtype=np.intp)
-    week = np.zeros(len(plans), dtype=np.intp)
-    shortfall = np.zeros(len(plans), dtype=buys.dtype)
+    inputs = k.inputs(plans)
+    state = k.start(len(plans), inputs.dtype)
+    shop = np.zeros_like(inputs[:2])
+    failed = {}  # plan -> the InfeasibleError of its first unstaffable week
     for i in range(params.horizon):
-        w = step_week(ready, in_use, buys[:, i], dem[:, i], k)
-        first = (code == 0) & (w.code != 0)
-        code[first], week[first], shortfall[first] = w.code[first], i + 1, w.shortfall[first]
-        ready, in_use, total = w.ready, w.in_use, total + w.cost
-    return [InfeasibleError(SHORTFALL_CODES[c], int(wk), int(s)) if c else k.decimal(t, True)
-            for c, wk, s, t in zip(code.tolist(), week.tolist(), shortfall.tolist(),
-                                   total.tolist())]
+        w = step_week(state, inputs[:, :, i], k)
+        for b in (w.short.max(axis=0) > 0).nonzero()[0].tolist():
+            if b not in failed:
+                code, short = classify_shortfall(*w.short[:, b].tolist(), int(w.instructors[b]))
+                failed[b] = InfeasibleError(SHORTFALL_CODES[code], i + 1, short)
+        state = w.state
+        shop[:, :, i] = w.maint
+    totals = k.cost(inputs[:2].reshape(2, -1), shop.reshape(2, -1)).reshape(len(plans), -1)
+    totals = totals.sum(axis=1).tolist()
+    return [failed[b] if b in failed else k.decimal(t, True) for b, t in enumerate(totals)]
 
 
 def _unrepairable(code: str, shortfall: int, demand: DemandSeries,
@@ -434,10 +468,11 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     shortfall is answered with the minimal extra purchase at the latest
     week the one-week lead time allows (the week before the failure);
     weeks before the bump are unaffected by it.  The bumped week changes
-    only by the extra wear-0 intake and its price unless the bump raises
-    its instructor count, so the plan adds those to the stored week and
-    retries the failed one; a bump that needs more instructors reruns
-    the bumped week instead.
+    only by the extra wear-0 intake, which adds to every wear of its
+    stored ready pool's prefix sums, unless the bump raises its
+    instructor count, so the plan adds that intake to the stored week
+    and retries the failed one; a bump that needs more instructors
+    reruns the bumped week instead.
 
     One exception cuts a purchase instead of adding one: when a week's
     instructor pool cannot cover the plan's own operator purchase and no
@@ -450,11 +485,14 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     deployment shortfalls are likewise unrepairable: purchases arrive a
     week too late.
 
-    Every kernel round steps each unfinished plan at its own week
-    cursor and stores every row's week in the plan's next slot; the few
-    rows that failed are then answered one by one in Python ints.
-    stats, if given, counts the rounds, the rows they stepped, the bumps
-    per shortfall code and the instructor clamps.
+    Every kernel round gathers each unfinished plan's slot at its own
+    week cursor from one packed pool array and one packed input array,
+    steps it, and stores every row's pools and shop counts in the plan's
+    next slot; the few rows that failed are then answered one by one in
+    Python ints.  The weeks are priced once, from the final purchases
+    and shop counts, when every plan is done.  stats, if given, counts
+    the rounds, the rows they stepped, the bumps per shortfall code and
+    the instructor clamps.
     """
     _check_horizon(plans, demand, params)
     if not plans:
@@ -463,15 +501,14 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     h, n = params.horizon, len(plans)
     g = params.instruct_capacity
     span = h + 1
-    # slot b*span + i holds plan b's state after i completed weeks, the
-    # purchases and demand of week i+1, and the cost of week i
-    buys, dem = k.arrays(plans)
-    buys = np.concatenate((buys, np.zeros_like(buys[:, :1])), axis=1).reshape(-1, 2)
-    dem = np.tile(np.append(dem, 0), n)
-    ready_at = np.zeros((n * span, 2, k.width), dtype=buys.dtype)
-    in_use_at = np.zeros_like(ready_at)
-    cost_of = np.zeros(n * span, dtype=buys.dtype)
-    ready_at[::span] = k.start(n, buys.dtype)[0]
+    # slot b*span + i, on the last axis, holds plan b's pools after i
+    # completed weeks, the shop counts of week i, and the purchases and
+    # demand of week i+1
+    inputs = k.inputs(plans)
+    inputs = np.concatenate((inputs, np.zeros_like(inputs[:, :, :1])), axis=2).reshape(3, -1)
+    state_at = np.zeros((2, 2, k.width, n * span), dtype=inputs.dtype)
+    state_at[..., ::span] = k.start(n, inputs.dtype)
+    shop_at = np.zeros((2, n * span), dtype=inputs.dtype)
     pos = np.arange(0, n * span, span)  # each plan's week cursor, as a slot
     bumped_ops = set()  # slots whose operator purchases a bump raised
     stuck = {}  # plan -> the UnrepairableError of its week-1 shortfall
@@ -481,21 +518,22 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     bumps = [0] * 4  # per shortfall code
     rounds = stepped = clamps = 0
     rows = np.arange(n)
+    left = h  # rounds before any plan can finish its last week
     while rows.size:
         rounds += 1
         stepped += rows.size
         at = pos[rows]
-        w = step_week(ready_at[at], in_use_at[at], buys[at], dem[at], k)
+        w = step_week(state_at.take(at, axis=3), inputs.take(at, axis=1), k)
         # every row's week goes to its next slot: a failed row's cursor
         # stays at or before its slot, so it rewrites that slot before it
         # passes it again
         nxt = at + 1
-        ready_at[nxt] = w.ready
-        in_use_at[nxt] = w.in_use
-        cost_of[nxt] = w.cost
+        state_at[..., nxt] = w.state
+        shop_at[:, nxt] = w.maint
         pos[rows] = nxt
-        for j in np.flatnonzero(w.code).tolist():
-            b, a, code, short = int(rows[j]), int(at[j]), int(w.code[j]), int(w.shortfall[j])
+        for j in (w.short.max(axis=0) > 0).nonzero()[0].tolist():
+            b, a = int(rows[j]), int(at[j])
+            code, short = classify_shortfall(*w.short[:, j].tolist(), int(w.instructors[j]))
             tries[b] += 1
             if rounds > limit and tries[b] > limit:
                 raise RuntimeError("repair failed to converge; model invariant broken")
@@ -504,47 +542,53 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
                 # can teach and retry the week.  shortfall = 4R +
                 # ceil(ob/G) - available, hence the largest instructable
                 # intake is G*(ceil(ob/G) - shortfall).
-                ob = int(buys[a, 1])
+                ob = int(inputs[1, a])
                 ob_max = g * (-(-ob // g) - short)
                 if ob_max >= ob:  # strict progress is guaranteed
                     raise RuntimeError("instructor clamp failed to shrink the intake")
-                buys[a, 1] = max(ob_max, 0)
+                inputs[1, a] = max(ob_max, 0)
                 clamps += 1
                 pos[b] = a
                 continue
             if a % span == 0:  # week 1 has no earlier week to buy in
                 stuck[b] = _unrepairable(SHORTFALL_CODES[code], short, demand, params)
                 pos[b] = a + h
+                left = 0
                 continue
             # buy the shortfall a week earlier: vessels for a vessel
             # shortfall, else operators
             bumps[code] += 1
             kind = min(code - 1, 1)
-            was = int(buys[a - 1, kind])
-            if buys.dtype != object and was + short > k.entry_limit:
-                buys, dem, ready_at, in_use_at, cost_of = (
-                    x.astype(object) for x in (buys, dem, ready_at, in_use_at, cost_of))
-            buys[a - 1, kind] = was + short
+            was = int(inputs[kind, a - 1])
+            if inputs.dtype != object and was + short > k.entry_limit:
+                inputs, state_at, shop_at = (x.astype(object) for x in (inputs, state_at, shop_at))
+            inputs[kind, a - 1] = was + short
             if kind:
                 bumped_ops.add(a - 1)
                 if -(-(was + short) // g) != -(-was // g):
                     pos[b] = a - 1  # more instructors: rerun the week before with them
                     continue
             # otherwise the purchase reaches the week it was bought for
-            # only as wear-0 intake and cost: add both to the stored week
-            # and retry the failed one
-            ready_at[a, kind, 0] += short
-            cost_of[a] += short * int(k.buy_prices[kind])
+            # only as wear-0 intake: add it to the stored week's ready
+            # pool and retry the failed one
+            state_at[0, kind, :, a] += short
             pos[b] = a
-        rows = rows[pos[rows] % span < h]
+        # a plan finishes only by stepping its last week or sticking in
+        # week 1, so drop finished plans only in rounds where one may have
+        left -= 1
+        if left <= 0:
+            rows = rows[pos[rows] % span < h]
+            left = h - int((pos[rows] % span).max(initial=0))
     if stats is not None:
         stats.update({"kernel_rounds": rounds, "rows_stepped": stepped,
                       "instructor_clamps": clamps, "bumps_vessels": bumps[1],
                       "bumps_operators": bumps[2], "bumps_instructors": bumps[3]})
-    totals = cost_of.reshape(n, span).sum(axis=1).tolist()
-    # a bump only adds units and a clamp floors at zero, so every row of
-    # buys is a valid plan's genes: vessels, then operators
-    fixed = buys.reshape(n, span, 2)[:, :h].transpose(0, 2, 1).reshape(n, 2 * h).tolist()
+    # slot i's purchases and shop counts belong to weeks i+1 and i, so
+    # each plan's span of slots prices each of its weeks once
+    totals = k.cost(inputs[:2], shop_at).reshape(n, span).sum(axis=1).tolist()
+    # a bump only adds units and a clamp floors at zero, so every plan's
+    # purchases are a valid plan's genes: vessels, then operators
+    fixed = inputs[:2].reshape(2, n, span)[:, :, :h].transpose(1, 0, 2).reshape(n, 2 * h).tolist()
     return [stuck[b] if b in stuck else
             (ProcurementPlan._of(tuple(fixed[b])) if tries[b] else plan,
              k.decimal(totals[b], True))

@@ -3,10 +3,12 @@
 brute_force_optimum is an exhaustive solver for tiny instances.  It
 enumerates every purchase plan with per-week buys in 0..max_buy by
 depth-first search over weeks, stepping all (max_buy+1)^2 purchase
-choices of a node through the real simulator's week kernel as one
-batch.  Weekly costs are nonnegative, so any prefix whose cost already
+choices of a node through reference_step_week as one batch, so a fault
+in the production kernel cannot move the solver and its oracle
+together.  Weekly costs are nonnegative, so any prefix whose cost already
 reaches the incumbent can be pruned when the search visits it; the
-incumbent starts from the greedy solution to make that pruning bite.
+incumbent starts from the greedy solution, priced by reference_simulate,
+to make that pruning bite.
 Small horizons only.
 
 reference_simulate is a per-unit simulator: it keeps one wear value
@@ -21,12 +23,15 @@ checked_plan rebuilds a plan through that constructor, for plans that
 breeding, repair and reduction build without its checks.
 
 reference_step_week and reference_repair_batch are the week kernel and
-the batch repair loop as they were before repair learned to bump a week
-in place: the kernel takes units through one lowest-wear-first helper,
-and the loop masks failed rows out of every round's scatter, answers
-them with vectorised bookkeeping and reruns the week before every bump.
-fleetplan.model must give the same weeks and the same repairs, in no
-more kernel rounds and stepped rows.
+the batch repair loop as they were before pools became prefix sums and
+before repair learned to bump a week in place: the kernel holds per-wear
+pools (pool[w] units have worn exactly w weeks), takes units through one
+lowest-wear-first helper, classifies and prices every row itself and
+returns a ReferenceWeek; the loop masks failed rows out of every round's
+scatter, answers them with vectorised bookkeeping and reruns the week
+before every bump.  fleetplan.model must give the same weeks, once the
+reference's per-wear pools are summed along wear, and the same repairs,
+in no more kernel rounds and stepped rows.
 
 reference_rls_fit, reference_astrom_predict and
 reference_conditional_expectation_predict are the forecaster's scalar
@@ -41,6 +46,7 @@ from __future__ import annotations
 from decimal import ROUND_HALF_UP, Decimal
 from collections import Counter
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +57,8 @@ from fleetplan.forecast import (ArimaModel, ArimaOrder, NumericalBreakdownError,
                                 difference, diophantine_split)
 from fleetplan.greedy import reduce_plan, seed_plan
 from fleetplan.metaheuristic import SolverConfig
-from fleetplan.model import (SHORTFALL_CODES, Kernel, UnrepairableError, Week, _check_horizon,
-                             _unrepairable, kernel, simulate, step_week)
+from fleetplan.model import (SHORTFALL_CODES, Kernel, UnrepairableError, _check_horizon,
+                             _unrepairable, kernel)
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -74,12 +80,14 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
         raise ValueError("greedy seed exceeds max_buy; instance outside oracle domain")
     k = kernel(demand, params, costs)
     # every (vessel, operator) choice of a week, vessels major, one row each
-    choices, dem = k.arrays([ProcurementPlan((cb,), (ob,)) for cb in range(max_buy + 1)
-                             for ob in range(max_buy + 1)])
-    choices = choices[:, 0]
+    dtype = np.int64 if max_buy <= k.entry_limit else object
+    choices = np.array([(cb, ob) for cb in range(max_buy + 1) for ob in range(max_buy + 1)],
+                       dtype=dtype)
+    dem = np.array(demand.values, dtype=dtype)
     n = len(choices)
-    # costs in the kernel's scaled integer units
-    best_cost = int(simulate(seeded, demand, params, costs).total_cost.scaleb(-k.exponent))
+    # costs in the kernel's scaled integer units; the per-unit simulator
+    # prices the incumbent, so no production kernel step enters the search
+    best_cost = int(reference_simulate(seeded, demand, params, costs)[1].scaleb(-k.exponent))
     best_plan = seeded
 
     nodes = 0
@@ -97,8 +105,8 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
                 best_cost = cost
                 best_plan = ProcurementPlan(tuple(vessel), tuple(operator))
             return
-        week = step_week(ready.repeat(n, axis=0), in_use.repeat(n, axis=0), choices,
-                         dem[i:i + 1].repeat(n), k)
+        week = reference_step_week(ready.repeat(n, axis=0), in_use.repeat(n, axis=0), choices,
+                                   dem[i:i + 1].repeat(n), k)
         staffed = (week.code == 0).tolist()
         next_costs = (cost + week.cost).tolist()
         for c, (cb, ob) in enumerate(choices.tolist()):
@@ -111,7 +119,7 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
             vessel.pop()
             operator.pop()
 
-    ready, in_use = k.start(1, choices.dtype)
+    ready, in_use = reference_start(k, 1, choices.dtype)
     dfs(0, ready, in_use, 0)
     return best_plan, k.decimal(best_cost, total=True)
 
@@ -194,6 +202,30 @@ _KINDS = np.arange(2)
 _CREW = np.array((1, 4))
 
 
+class ReferenceWeek(NamedTuple):
+    """reference_step_week's output for B rows.  Row b staffed its week
+    iff code[b] == 0; otherwise shortfall[b] units of
+    SHORTFALL_CODES[code[b]] were missing."""
+
+    code: np.ndarray  # (B,)
+    shortfall: np.ndarray  # (B,)
+    ready: np.ndarray  # (B, 2, W) next week's ready pools, per wear
+    in_use: np.ndarray  # (B, 2, W) this week's deployed units, per wear
+    cost: np.ndarray  # (B,) in scaled price units, see Kernel.decimal
+    destroyed: np.ndarray  # (B, 2) per kind
+    discards: np.ndarray  # (B, 2)
+    maint: np.ndarray  # (B, 2) units in the shop
+    instructors: np.ndarray  # (B,)
+
+
+def reference_start(k: Kernel, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Week-0 per-wear (ready, in_use) pools: the starting stock idle and fully skilled."""
+    ready = np.zeros((rows, 2, k.width), dtype=dtype)
+    ready[:, 0, 0] = k.params.initial_vessels
+    ready[:, 1, 0] = k.params.initial_operators
+    return ready, np.zeros_like(ready)
+
+
 def _take(pool: np.ndarray, before: np.ndarray, n: np.ndarray) -> np.ndarray:
     """The n units of each pool row taken lowest wear first, given before,
     each row's count below every wear; n may exceed the row."""
@@ -201,8 +233,10 @@ def _take(pool: np.ndarray, before: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def reference_step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray,
-                        demand: np.ndarray, k: Kernel) -> Week:
-    """fleetplan.model.step_week as it was, statement for statement."""
+                        demand: np.ndarray, k: Kernel) -> ReferenceWeek:
+    """fleetplan.model.step_week as it was on per-wear pools, statement
+    for statement: ready and in_use are (B, 2, W), buys (B, 2) and
+    demand (B,)."""
     if buys.min() < 0 or demand.min() < 0:
         raise ValueError("purchases and demand must be >= 0")
 
@@ -222,7 +256,8 @@ def reference_step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray,
     discards = survivors[:, _KINDS, k.last_wear]
     shop = surviving - discards
     maint = np.zeros_like(survivors)
-    maint[:, :, 1:] = np.where(k.keep, survivors, 0)[:, :, :-1]
+    keep = np.arange(k.width) < k.last_wear[:, None]
+    maint[:, :, 1:] = np.where(keep, survivors, 0)[:, :, :-1]
 
     # crews and instructors against the ready pools
     upto = np.add.accumulate(ready, axis=2)
@@ -246,7 +281,7 @@ def reference_step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray,
     nxt[:, :, 0] += buys
 
     cost = buys @ k.buy_prices + shop @ k.shop_prices + instructors * k.training_price
-    return Week(code, shortfall, nxt, use, cost, destroyed, discards, shop, instructors)
+    return ReferenceWeek(code, shortfall, nxt, use, cost, destroyed, discards, shop, instructors)
 
 
 def reference_repair_batch(plans: list[ProcurementPlan], demand: DemandSeries,
@@ -262,13 +297,14 @@ def reference_repair_batch(plans: list[ProcurementPlan], demand: DemandSeries,
     span = h + 1
     # slot b*span + i holds plan b's state after i completed weeks, the
     # purchases and demand of week i+1, and the cost of week i
-    buys, dem = k.arrays(plans)
+    inputs = k.inputs(plans)
+    buys, dem = inputs[:2].transpose(1, 2, 0), inputs[2, 0]
     buys = np.concatenate((buys, np.zeros_like(buys[:, :1])), axis=1).reshape(-1, 2)
     dem = np.tile(np.append(dem, 0), n)
     ready_at = np.zeros((n * span, 2, k.width), dtype=buys.dtype)
     in_use_at = np.zeros_like(ready_at)
     cost_of = np.zeros(n * span, dtype=buys.dtype)
-    ready_at[::span] = k.start(n, buys.dtype)[0]
+    ready_at[::span] = reference_start(k, n, buys.dtype)[0]
     bumped_ops = np.zeros(n * span, dtype=bool)
     pos = np.arange(0, n * span, span)  # each plan's week cursor, as a slot
     stuck = np.zeros(n, dtype=np.intp)  # the week-1 shortfall code of an unrepairable plan

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from fleetplan import model
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 from fleetplan.model import (
-    SHORTFALL_CODES, InfeasibleError, Schedule, ScheduleFormatError, UnrepairableError, Week,
-    WeekRecord, discard_operator, discard_vessel, kernel, read_schedule_csv, repair,
-    repair_and_simulate, repair_batch, simulate, simulate_batch, step_week, validate,
+    SHORTFALL_CODES, InfeasibleError, Schedule, ScheduleFormatError, UnrepairableError,
+    WeekRecord, classify_shortfall, discard_operator, discard_vessel, kernel, read_schedule_csv,
+    repair, repair_and_simulate, repair_batch, simulate, simulate_batch, step_week, validate,
     write_schedule_csv,
 )
 from oracles import (ReferenceShortfall, checked_plan, reference_repair_batch,
@@ -130,23 +130,25 @@ class TestStepWeek:
         rows = [(0, 0, (0, 0)), (1, 0, (0, 0)), (1, 4, (0, 1)), (1, 5, (0, 1))]
         demand = DemandSeries((1,))
         k = kernel(demand, params(0, 0), COSTS)
-        ready, in_use = k.start(len(rows), np.int64)
-        ready[:, :, 0] = [(v, o) for v, o, _ in rows]
-        week = step_week(ready, in_use, np.array([b for _, _, b in rows]),
-                         np.ones(len(rows), dtype=np.int64), k)
-        assert [SHORTFALL_CODES[c] for c in week.code] == [
+        state = k.start(len(rows), np.int64)
+        # every unit at wear 0, so at or below every wear
+        state[0] = np.array([(v, o) for v, o, _ in rows]).T[:, None]
+        inputs = np.array([(*b, 1) for _, _, b in rows]).T
+        week = step_week(state, inputs, k)
+        code, short = zip(*(classify_shortfall(*fleet, g) for fleet, g in
+                            zip(week.short.T.tolist(), week.instructors.tolist())))
+        assert [SHORTFALL_CODES[c] for c in code] == [
             "INSUFFICIENT_VESSELS", "INSUFFICIENT_OPERATORS", "INSUFFICIENT_INSTRUCTORS", None]
-        assert week.shortfall[:3].tolist() == [1, 4, 1]
-        assert (week.instructors[3], week.cost[3]) == (1, 50 + 2 * 20)
+        assert list(short[:3]) == [1, 4, 1]
+        assert (week.instructors[3], k.cost(inputs[:2, 3], week.maint[:, 3])) == (1, 50 + 2 * 20)
 
     def test_rejects_negative_args(self):
         k = kernel(DemandSeries((0,)), params(1, 4), COSTS)
-        ready, in_use = k.start(2, np.int64)
-        zero = np.zeros(2, dtype=np.int64)
-        with pytest.raises(ValueError):
-            step_week(ready, in_use, np.array([(0, 0), (-1, 0)]), zero, k)
-        with pytest.raises(ValueError):
-            step_week(ready, in_use, np.zeros((2, 2), dtype=np.int64), zero - 1, k)
+        state = k.start(2, np.int64)
+        with pytest.raises(ValueError):  # a negative purchase
+            step_week(state, np.array([(0, 0, 0), (-1, 0, 0)]).T, k)
+        with pytest.raises(ValueError):  # a negative demand
+            step_week(state, np.array([(0, 0, -1), (0, 0, -1)]).T, k)
 
 
 class TestCostAggregation:
@@ -336,26 +338,29 @@ class TestRepair:
         assert e.value.week == 1
 
     @staticmethod
-    def _forged(monkeypatch, code, shortfall):
-        """Make every week step_week steps report code and shortfall."""
+    def _forged(monkeypatch, short, instructors):
+        """Make every fleet of every week step_week steps report short, a
+        (vessel, operator) pair, and that many instructors."""
         real = model.step_week
 
         def forged(*args):
             w = real(*args)
-            return w._replace(code=np.full_like(w.code, code),
-                              shortfall=np.full_like(w.shortfall, shortfall))
+            return w._replace(short=np.broadcast_to(np.array(short)[:, None], w.short.shape),
+                              instructors=np.full(w.instructors.shape, instructors))
         monkeypatch.setattr(model, "step_week", forged)
 
     def test_endless_shortfall_trips_the_convergence_guard(self, monkeypatch):
         # an instructor shortfall of one on an intake of zero clamps the
         # intake to zero again, round after round
-        self._forged(monkeypatch, 3, 1)
+        self._forged(monkeypatch, (0, 1), 1)
         with pytest.raises(RuntimeError, match="repair failed to converge"):
             repair(ProcurementPlan.zero(1), DemandSeries((0,)), params(1, 4), COSTS)
 
     def test_clamp_that_cannot_shrink_is_caught(self, monkeypatch):
-        # an instructor shortfall of zero would clamp the intake to itself
-        self._forged(monkeypatch, 3, 0)
+        # an instructor shortfall of whole units always shrinks the
+        # intake; one of half a unit would clamp the intake of 5 to
+        # G * (ceil(5 / G) - 1/2) = 5, itself
+        self._forged(monkeypatch, (0, 0.5), 1)
         with pytest.raises(RuntimeError, match="instructor clamp failed to shrink the intake"):
             repair(ProcurementPlan((0,), (5,)), DemandSeries((0,)), params(1, 4), COSTS)
 
@@ -547,7 +552,8 @@ def _outcome(got):
 
 class TestAgainstReferenceLoop:
     """step_week and repair_batch against the kernel and the repair loop
-    as they were before repair bumped weeks in place (tests/oracles.py)."""
+    as they were before pools became prefix sums and repair bumped weeks
+    in place (tests/oracles.py)."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -563,15 +569,53 @@ class TestAgainstReferenceLoop:
             return np.array(data.draw(st.lists(counts, min_size=int(np.prod(shape)),
                                                max_size=int(np.prod(shape)))),
                             dtype=object if wide else np.int64).reshape(shape)
-        ready, in_use = draw(rows, 2, k.width), draw(rows, 2, k.width)
+        # per-wear pools, holding no unit past its kind's last wear, as
+        # no week ever leaves one there (test_pools_stay_prefix_sums)
+        held = np.arange(k.width) <= k.last_wear[:, None]
+        ready, in_use = (np.where(held, draw(rows, 2, k.width), 0) for _ in range(2))
         buys, dem = draw(rows, 2), draw(rows) // 4
-        got = step_week(ready, in_use, buys, dem, k)
+        # the same pools in step_week's layout: batch last, summed along wear
+        got = step_week(np.stack((ready, in_use)).transpose(0, 2, 3, 1).cumsum(axis=2),
+                        np.vstack((buys.T, dem)), k)
         want = reference_step_week(ready, in_use, buys, dem, k)
         # failed rows included: their fields mean nothing, but they are
         # the same nothing
-        for name, a, b in zip(Week._fields, got, want):
+        pairs = {"ready": (got.state[0], want.ready.transpose(1, 2, 0).cumsum(axis=1)),
+                 "in_use": (got.state[1], want.in_use.transpose(1, 2, 0).cumsum(axis=1)),
+                 "cost": (k.cost(buys.T, got.maint), want.cost),
+                 "instructors": (got.instructors, want.instructors),
+                 **{name: (getattr(got, name), getattr(want, name).T)
+                    for name in ("destroyed", "discards", "maint")}}
+        for name, (a, b) in pairs.items():
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tolist() == b.tolist(), name
+        assert [classify_shortfall(*fleet, g) for fleet, g in
+                zip(got.short.T.tolist(), got.instructors.tolist())] == list(
+                    zip(want.code.tolist(), want.shortfall.tolist()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pools_stay_prefix_sums(self, data):
+        # step_week's clips pick units lowest wear first only from pools
+        # that are nonnegative and nondecreasing along wear, and its shop
+        # and discard counts assume no unit past its kind's last wear
+        plan, demand, p, costs = draw_instance(data)
+        unit = data.draw(st.sampled_from([1, 10 ** 30]))
+        demand = DemandSeries(tuple(d * unit for d in demand))
+        p = dataclasses.replace(p, initial_vessels=p.initial_vessels * unit,
+                                initial_operators=p.initial_operators * unit)
+        rows = [plan] + [draw_plan(data, p.horizon) for _ in range(data.draw(st.integers(0, 4)))]
+        k = kernel(demand, p, costs)
+        inputs = k.inputs([_scaled(row, unit) for row in rows])
+        state = k.start(len(rows), inputs.dtype)
+        past = np.arange(1, k.width) > k.last_wear[:, None]  # wears no unit reaches
+        for i in range(p.horizon):
+            w = step_week(state, inputs[:, :, i], k)
+            state = w.state
+            pools = state[..., w.short.max(axis=0) <= 0]
+            steps = np.diff(pools, axis=2)
+            assert (pools >= 0).all() and (steps >= 0).all()
+            assert not steps[:, past].any()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
