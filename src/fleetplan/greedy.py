@@ -5,8 +5,8 @@ shortfall with the minimal buy at the latest lead-time-respecting week;
 attrition replacement falls out of the same loop because the simulator
 reports post-attrition shortfalls.  reduce_plan then walks the plan
 downhill, one unit at a time, until no single purchase can be removed
-without breaking feasibility or raising cost; each pass simulates its
-2H single-unit decrements as one batch.
+without breaking feasibility or raising cost; each pass prices its 2H
+single-unit decrements as one repair_batch.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
-from .model import InfeasibleError, repair, simulate, simulate_batch
+from .model import UnrepairableError, repair, repair_batch, simulate
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,11 @@ def reduce_plan(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams
     vessels over operators), and stops when nothing feasible improves.
     Terminates after at most sum(plan entries) passes since every pass
     removes one unit.
+
+    A decrement is feasible exactly when repair_batch returns it
+    unchanged: a feasible plan fails no week, and repair answers every
+    failed week with a strict change to the plan.  plan itself must be
+    feasible; simulate raises InfeasibleError otherwise.
     """
     h = plan.horizon
     current = plan
@@ -64,11 +69,12 @@ def reduce_plan(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams
         genes = current.genes
         trials = {i: ProcurementPlan._of(genes[:i] + (amount - 1,) + genes[i + 1:])
                   for i, amount in enumerate(genes) if amount}
-        outcomes = simulate_batch(list(trials.values()), demand, params, costs)
+        outcomes = repair_batch(list(trials.values()), demand, params, costs)
         best = None  # ((cost, -week, kind), plan); kind 0 is vessels
-        for (i, trial), cost in zip(trials.items(), outcomes):
-            if isinstance(cost, InfeasibleError):
+        for (i, trial), got in zip(trials.items(), outcomes):
+            if isinstance(got, UnrepairableError) or got[0] != trial:
                 continue
+            cost = got[1]
             key = (cost, -(i % h + 1), i // h)
             if cost < current_cost and (best is None or key < best[0]):
                 best = (key, trial)

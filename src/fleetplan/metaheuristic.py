@@ -20,10 +20,10 @@ would breed next (ceil(short/2) pairs while the population is short),
 repairs and costs their distinct uncached children as one
 model.repair_batch, and then replays the cache, the evaluation count,
 the rejects, the best plan and the budget stop in child order
-(_Evaluator.outcomes).  The
-outputs are those of evaluating each child as it is bred, including
-the second child of a pair that is evaluated after the population
-fills; children bred past a budget stop are never counted.
+(_Evaluator.outcomes).  The outputs are those of evaluating each child
+as it is bred, including the second child of a pair that is evaluated
+after the population fills; children bred past a budget stop are never
+counted.
 """
 
 from __future__ import annotations
@@ -318,12 +318,13 @@ def _search(population: list[tuple[ProcurementPlan, Decimal]], breed,
             evaluate: _Evaluator, phase_s: dict[str, float]) -> SolveResult:
     """The generation loop both solvers share; schedule None is the baseline.
 
-    The population is first filled from breed().  With a schedule, the temperature scales mutation magnitude and the run
-    ends once it drops below the termination floor.  Without one, mutation
-    magnitude is 1 and the trace records temperature 0.0.  Either way the
-    run also ends at the evaluation budget or after _STALL_GENERATIONS
-    generations without a novel evaluation.  phase_s gains the wall
-    seconds of the loop and of the final simulation.
+    The population is first filled from breed().  With a schedule, the
+    temperature scales mutation magnitude and the run ends once it drops
+    below the termination floor.  Without one, mutation magnitude is 1
+    and the trace records temperature 0.0.  Either way the run also ends
+    at the evaluation budget or after _STALL_GENERATIONS generations
+    without a novel evaluation.  phase_s gains the wall seconds of the
+    loop and of the final simulation.
     """
     started = time.perf_counter()
     population = _populate(population, breed, config, evaluate)

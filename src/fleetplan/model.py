@@ -34,8 +34,9 @@ stock, demand, prices, the attrition ratio and the largest plan entry)
 proves that no intermediate can overflow, and Python ints (dtype=object)
 otherwise; the same statements run either way.
 
-simulate, repair_and_simulate and the batch entry points simulate_batch
-and repair_batch all drive step_week, which reports each row's raw
+Two drivers step the kernel: simulate builds one plan's records, and
+repair_batch repairs and prices many plans at once (repair and
+repair_and_simulate go through them).  step_week reports each row's raw
 shortfalls and shop counts; classify_shortfall names a failing row's
 shortfall and Kernel.cost prices a week.  Repair keeps a per-plan week
 cursor over a state history of H+1 slots per plan: each kernel round
@@ -267,14 +268,14 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
       shortfalls  4*max(demand) + E + N               <= 2^63 - 1
       clamps      G * 4*max(demand), E + G            <= 2^63 - 1
     where G is the instructor capacity (a clamped intake lies between
-    -4*max(demand)*G and E + G).  entry_limit is the largest such E.  Repair's bumps can raise entries
-    past it, so repair_batch checks each bump and widens to Python ints.
-    Storing pools as prefix sums leaves these bounds as they are: the
-    kernel always summed its pools along wear, so every prefix sum was
-    already an intermediate, and a prefix sum never exceeds its pool's
-    total.  Pricing each week's slot once per batch leaves them too: each
-    slot's cost is one week's, which lies under the bound on the sum of
-    a plan's weeks.
+    -4*max(demand)*G and E + G).  entry_limit is the largest such E.
+    Repair's bumps can raise entries past it, so repair_batch checks
+    each bump and widens to Python ints.  Storing pools as prefix sums
+    leaves these bounds as they are: the kernel always summed its pools
+    along wear, so every prefix sum was already an intermediate, and a
+    prefix sum never exceeds its pool's total.  Pricing each week's slot
+    once per batch leaves them too: each slot's cost is one week's,
+    which lies under the bound on the sum of a plan's weeks.
     """
     h = params.horizon
     num, den = params.attrition_rate.as_integer_ratio()
@@ -420,31 +421,6 @@ def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
                                   demand[i], k.decimal(k.cost(inputs[:2, i], w.maint[:, 0])),
                                   ov, oo))
     return Schedule(tuple(records))
-
-
-def simulate_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: FleetParams,
-                   costs: CostParams) -> list[Decimal | InfeasibleError]:
-    """Each plan's total cost, or the InfeasibleError of its first
-    unstaffable week, from one kernel round per week."""
-    _check_horizon(plans, demand, params)
-    if not plans:
-        return []
-    k = kernel(demand, params, costs)
-    inputs = k.inputs(plans)
-    state = k.start(len(plans), inputs.dtype)
-    shop = np.zeros_like(inputs[:2])
-    failed = {}  # plan -> the InfeasibleError of its first unstaffable week
-    for i in range(params.horizon):
-        w = step_week(state, inputs[:, :, i], k)
-        for b in (w.short.max(axis=0) > 0).nonzero()[0].tolist():
-            if b not in failed:
-                code, short = classify_shortfall(*w.short[:, b].tolist(), int(w.instructors[b]))
-                failed[b] = InfeasibleError(SHORTFALL_CODES[code], i + 1, short)
-        state = w.state
-        shop[:, :, i] = w.maint
-    totals = k.cost(inputs[:2].reshape(2, -1), shop.reshape(2, -1)).reshape(len(plans), -1)
-    totals = totals.sum(axis=1).tolist()
-    return [failed[b] if b in failed else k.decimal(t, True) for b, t in enumerate(totals)]
 
 
 def _unrepairable(code: str, shortfall: int, demand: DemandSeries,

@@ -15,6 +15,11 @@ reference_simulate is a per-unit simulator: it keeps one wear value
 (accumulated maintenance weeks) per unit and shares no code with
 fleetplan.model, so it checks the pooled simulator's bookkeeping.
 
+reference_reduce_plan is greedy.reduce_plan's steepest descent with
+each single-unit decrement priced by its own simulate call and skipped
+when that call raises InfeasibleError, so it checks the reduction's
+batched feasibility verdicts and costs.
+
 reference_crossover, reference_mutate and reference_random_plan are the
 GA's breeding operators as they were on a plan's two buy tuples, each
 child built through the checking ProcurementPlan constructor.  From equal
@@ -57,8 +62,8 @@ from fleetplan.forecast import (ArimaModel, ArimaOrder, NumericalBreakdownError,
                                 difference, diophantine_split)
 from fleetplan.greedy import reduce_plan, seed_plan
 from fleetplan.metaheuristic import SolverConfig
-from fleetplan.model import (SHORTFALL_CODES, Kernel, UnrepairableError, _check_horizon,
-                             _unrepairable, kernel)
+from fleetplan.model import (SHORTFALL_CODES, InfeasibleError, Kernel, UnrepairableError,
+                             _check_horizon, _unrepairable, kernel, simulate)
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -382,6 +387,39 @@ def reference_repair_batch(plans: list[ProcurementPlan], demand: DemandSeries,
             (ProcurementPlan._of(tuple(fixed[b])) if tries[b] else plan,
              k.decimal(totals[b], True))
             for b, plan in enumerate(plans)]
+
+
+def reference_reduce_plan(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
+                          costs: CostParams,
+                          ) -> tuple[ProcurementPlan, list[tuple[int, str, Decimal]]]:
+    """The reduced plan and its (week, kind, cost_after) decrements, one
+    simulate call per trial.  Each pass keeps the cheapest feasible
+    single-unit decrement that lowers the cost, ties toward the latest
+    week and then vessels over operators; an infeasible plan raises
+    InfeasibleError."""
+    current = plan
+    current_cost = simulate(current, demand, params, costs).total_cost
+    reductions = []
+    while True:
+        best = None  # ((cost, -week, kind), plan); kind 0 is vessels
+        for kind in (0, 1):
+            for week in range(1, params.horizon + 1):
+                buys = [list(current.vessel_buys), list(current.operator_buys)]
+                if not buys[kind][week - 1]:
+                    continue
+                buys[kind][week - 1] -= 1
+                trial = ProcurementPlan(*buys)
+                try:
+                    cost = simulate(trial, demand, params, costs).total_cost
+                except InfeasibleError:
+                    continue
+                key = (cost, -week, kind)
+                if cost < current_cost and (best is None or key < best[0]):
+                    best = (key, trial)
+        if best is None:
+            return current, reductions
+        (current_cost, neg_week, kind), current = best
+        reductions.append((-neg_week, ("vessel", "operator")[kind], current_cost))
 
 
 def checked_plan(plan: ProcurementPlan) -> ProcurementPlan:

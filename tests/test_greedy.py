@@ -3,11 +3,12 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fleetplan.domain import CostParams, DemandSeries, FleetParams, ProcurementPlan
 from fleetplan.greedy import reduce_plan, seed_plan
-from fleetplan.model import UnrepairableError, simulate, validate
-from oracles import checked_plan
+from fleetplan.model import InfeasibleError, UnrepairableError, simulate, validate
+from oracles import checked_plan, reference_reduce_plan
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
                    Decimal("10"), Decimal("15"))
@@ -89,3 +90,43 @@ def test_reduce_monotone_and_feasible():
     sched = simulate(slim, demand, p, COSTS)
     assert validate(sched, demand, p, COSTS) == []
     assert sched.total_cost == trace.final_cost
+
+
+@pytest.mark.parametrize("k", ["0", "0.15"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduce_matches_per_trial_reference(k, data):
+    # a small random instance, its greedy seed, and the seed plus a few
+    # extra units per week: extra operators can outrun the instructors,
+    # so a fat plan may be infeasible, and then both must raise.  Prices
+    # come from a narrow range so that decrements often tie on cost.
+    horizon = data.draw(st.integers(1, 7))
+    demand = DemandSeries(tuple(data.draw(
+        st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon))))
+    costs = CostParams(*(data.draw(st.integers(1, 12)) for _ in range(5)))
+    p = FleetParams(instruct_capacity=data.draw(st.integers(1, 6)),
+                    attrition_rate=Decimal(k),
+                    initial_vessels=data.draw(st.integers(demand[0], 8)),
+                    initial_operators=data.draw(st.integers(4 * demand[0], 36)),
+                    horizon=horizon)
+    try:
+        plan = seed_plan(demand, p, costs)
+    except UnrepairableError:
+        assume(False)
+    if data.draw(st.booleans()):
+        jitter = st.lists(st.integers(0, 2), min_size=2 * horizon, max_size=2 * horizon)
+        genes = [a + b for a, b in zip(plan.genes, data.draw(jitter))]
+        plan = ProcurementPlan(genes[:horizon], genes[horizon:])
+    try:
+        want_plan, want = reference_reduce_plan(plan, demand, p, costs)
+    except InfeasibleError as err:
+        with pytest.raises(InfeasibleError) as got:
+            reduce_plan(plan, demand, p, costs)
+        assert (got.value.week, got.value.code, got.value.shortfall) == (
+            err.week, err.code, err.shortfall)
+        return
+    slim, trace = reduce_plan(plan, demand, p, costs)
+    assert checked_plan(slim) == want_plan
+    assert [(r.week, r.kind, r.cost_after) for r in trace.reductions] == want
+    assert trace.initial_cost == simulate(plan, demand, p, costs).total_cost
+    assert trace.final_cost == (want[-1][2] if want else trace.initial_cost)
