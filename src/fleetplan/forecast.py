@@ -219,7 +219,10 @@ def _flip_inside_ma_roots(ma: np.ndarray, noise_variance: float,
     inside come back untouched; roots on the circle are left to raise.
     """
     c = np.concatenate(([1.0], ma))
-    roots = np.roots(c[::-1])
+    try:
+        roots = np.roots(c[::-1])
+    except np.linalg.LinAlgError:  # a coefficient so small its root overflows
+        raise NumericalBreakdownError("an MA root overflowed the float range") from None
     inside = np.abs(roots) < 1.0
     if not np.any(inside):
         return ma, noise_variance

@@ -30,20 +30,23 @@ e is the smallest exponent among the config's prices, and a cost turns
 back into the Decimal that exact arithmetic on the prices gives only
 when it leaves the kernel, so a week's cost is exact at any size.
 Arrays are int64 when a bound computed from the instance (initial
-stock, demand, prices, the attrition ratio and the largest plan entry)
-proves that no intermediate can overflow, and Python ints (dtype=object)
-otherwise; the same statements run either way.
+stock, demand, prices and the largest plan entry) proves that no
+intermediate can overflow, and Python ints (dtype=object) otherwise;
+the same statements run either way.
 
 Two drivers step the kernel: simulate builds one plan's records, and
 repair_batch repairs and prices many plans at once (repair and
-repair_and_simulate go through them).  step_week reports each row's raw
-shortfalls and shop counts; classify_shortfall names a failing row's
-shortfall and Kernel.cost prices a week.  Repair keeps a per-plan week
-cursor over a state history of H+1 slots per plan: each kernel round
-advances every unfinished plan one week, and a plan whose week failed
-is clamped and retries the week, or is bumped: a bump that needs no
-more instructors is added to the stored week in place and the failed
-week retried, and one that needs more instructors rewinds one week.
+repair_and_simulate go through them).  Kernel.inputs packs, once per
+batch, all a week needs that depends only on the plan and the demand:
+purchases, needs, instructors and the attrition loss.  step_week reports
+each row's raw shortfalls and shop counts; classify_shortfall names a
+failing row's shortfall and Kernel.cost prices a week.  Repair keeps a
+per-plan week cursor: each kernel round advances every unfinished plan
+one week, and a plan whose week failed is answered inside the round,
+before any unit is deployed: it is clamped, or bumped, and a bump that
+needs no more instructors adds its intake to the week's ready pools in
+place.  Only a bump that needs more instructors (or past int64) holds
+the plan back, to rerun the week before.
 
 validate() re-derives the constraint set from schedule records alone and
 shares no code with step_week, so the two act as independent checks on
@@ -53,10 +56,12 @@ each other.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_PREC, Decimal, InvalidOperation, Overflow, getcontext, localcontext
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -171,7 +176,6 @@ def discard_operator(maint_weeks: int, costs: CostParams) -> bool:
 
 _INT64_MAX = 2 ** 63 - 1
 _KINDS = np.arange(2)  # the kind axis of a pool array: vessels, operators
-_CREW = np.array((1, 4))[:, None]  # vessels and operators one deployed robot takes
 
 
 def _first_discard(is_discard, cap: int) -> int:
@@ -194,8 +198,6 @@ class Kernel(NamedTuple):
 
     demand: DemandSeries
     params: FleetParams
-    num: int  # attrition rate = num / den
-    den: int
     # scaled prices: a (vessel, operator) purchase including the trainee's
     # course, the instructor's charge, and a (vessel, operator) shop week
     buy_prices: np.ndarray
@@ -207,10 +209,11 @@ class Kernel(NamedTuple):
     # a survivor kept at wear w (below its kind's last_wear) returns at
     # wear w+1, so the kept units' prefix sum at wear w is the survivors'
     # at min(w-1, last_wear-1), or 0 at wear 0 and for a kind that keeps
-    # none: older holds that row as an index into the (2*W, B) survivor
-    # sums with kind and wear flattened, and kept is 0 where the sum is 0
+    # none: older holds that row as an index into the (2*W + 1, B)
+    # survivor sums with kind and wear flattened, whose last row is 0
     older: np.ndarray  # (2, W) intp
-    kept: np.ndarray  # (2, W, 1) int64, 0 or 1
+    # (7, H+1) the rows of Kernel.inputs that depend on demand alone
+    demand_rows: np.ndarray
     entry_limit: int
 
     def start(self, rows: int, dtype) -> np.ndarray:
@@ -222,19 +225,29 @@ class Kernel(NamedTuple):
         return state
 
     def inputs(self, plans: list[ProcurementPlan]) -> np.ndarray:
-        """(3, n, H) step_week inputs: plan b's vessel buys, operator buys
-        and demand of week i+1 at [:, b, i], int64 when the bound allows."""
+        """(7, n, H+1) step_week inputs, int64 when the bound allows: at
+        [:, b, i], plan b's week i+1 (vessel, operator) buys, needs R and
+        4R + ceil(ob/G) for demand R and operator buys ob, ceil(ob/G)
+        instructors, and the (vessel, operator) attrition losses.  Every
+        week steps from a staffed week, whose deployment is exactly (R',
+        4R') for its demand R' (0 before week 1), so the losses are
+        crew*R'*K rounded half up.  Slot H, past the last week, is 0."""
+        n, h = len(plans), len(self.demand)
         rows = [p.genes for p in plans]
         try:
-            genes = np.array(rows, dtype=np.int64)
-            if genes.max() > self.entry_limit:
-                genes = np.array(rows, dtype=object)
+            flat = np.fromiter(chain.from_iterable(rows), np.int64, 2 * n * h)
+            if flat.max() > self.entry_limit:
+                flat = flat.astype(object)
         except OverflowError:
-            genes = np.array(rows, dtype=object)
-        n, h = len(plans), len(self.demand)
-        out = np.empty((3, n, h), dtype=genes.dtype)
-        out[:2] = genes.reshape(n, 2, h).transpose(1, 0, 2)
-        out[2] = np.array(self.demand.values, dtype=genes.dtype)
+            flat = np.array(list(chain.from_iterable(rows)), dtype=object)
+        if flat.min() < 0:
+            raise ValueError("purchases must be >= 0")
+        out = np.empty((7, n, h + 1), dtype=flat.dtype)
+        out[:] = self.demand_rows[:, None]
+        out[:2, :, :h] = flat.reshape(n, 2, h).transpose(1, 0, 2)
+        g = self.params.instruct_capacity
+        np.floor_divide(out[1] + (g - 1), g, out=out[4])  # ceil(ob/G), as ob >= 0
+        out[3] += out[4]
         return out
 
     def cost(self, buys: np.ndarray, shop: np.ndarray) -> np.ndarray:
@@ -263,19 +276,20 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
 
     int64 is safe while every plan entry stays at or below E, since then
     no pool holds more than N = max(initial stock) + H*E units, and:
-      attrition   2*num*N + den                      <= 2^63 - 1
       costs       H * (4*E + 2*N) * max scaled price  <= 2^63 - 1
       shortfalls  4*max(demand) + E + N               <= 2^63 - 1
       clamps      G * 4*max(demand), E + G            <= 2^63 - 1
     where G is the instructor capacity (a clamped intake lies between
     -4*max(demand)*G and E + G).  entry_limit is the largest such E.
     Repair's bumps can raise entries past it, so repair_batch checks
-    each bump and widens to Python ints.  Storing pools as prefix sums
-    leaves these bounds as they are: the kernel always summed its pools
-    along wear, so every prefix sum was already an intermediate, and a
-    prefix sum never exceeds its pool's total.  Pricing each week's slot
-    once per batch leaves them too: each slot's cost is one week's,
-    which lies under the bound on the sum of a plan's weeks.
+    each bump and widens to Python ints.  Attrition takes no bound: its
+    losses are computed here, in Python ints, from the demand, and lie
+    under the demand's.  Storing pools as prefix sums leaves these
+    bounds as they are: the kernel always summed its pools along wear,
+    so every prefix sum was already an intermediate, and a prefix sum
+    never exceeds its pool's total.  Pricing each week's slot once per
+    batch leaves them too: each slot's cost is one week's, which lies
+    under the bound on the sum of a plan's weeks.
     """
     h = params.horizon
     num, den = params.attrition_rate.as_integer_ratio()
@@ -288,8 +302,9 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
     width = max(first)
     last_wear = np.array(first) - 1
     wear = np.arange(width)
-    older = _KINDS[:, None] * width + np.clip(np.minimum(wear, last_wear[:, None]) - 1, 0, None)
-    kept = ((wear >= 1) & (last_wear[:, None] >= 1)).astype(np.int64)[..., None]
+    older = np.where((wear >= 1) & (last_wear[:, None] >= 1),
+                     _KINDS[:, None] * width + np.minimum(wear, last_wear[:, None]) - 1,
+                     2 * width)
 
     stock = max(params.initial_vessels, params.initial_operators)
     peak = max(demand.values)
@@ -297,18 +312,22 @@ def kernel(demand: DemandSeries, params: FleetParams, costs: CostParams) -> Kern
     top = _INT64_MAX
     limits = [(top // (h * max(prices)) - 2 * stock) // (4 + 2 * h),
               (top - 4 * peak - stock) // (1 + h), top - g]
-    if num:
-        limits.append(((top - den) // (2 * num) - stock) // h)
-    fits = 2 * den <= top and max(pv, po + pt, pvm, pom, 4 * peak * g) <= top
+    fits = max(pv, po + pt, pvm, pom, 4 * peak * g) <= top
     entry_limit = min(limits) if fits else -1
     dtype = np.int64 if fits else object
+    # the demand's rows of Kernel.inputs, week i+1 in column i
+    now, before = (*demand.values, 0), (0, *demand.values)
+    demand_rows = np.zeros((7, h + 1), dtype=dtype)
+    demand_rows[2:4] = [[crew * r for r in now] for crew in (1, 4)]
+    demand_rows[5:] = [[(2 * num * crew * r + den) // (2 * den) for r in before]
+                       for crew in (1, 4)]
     arrays = (np.array((pv, po + pt), dtype=dtype), np.array((pvm, pom), dtype=dtype),
-              last_wear, older, kept)
+              last_wear, older, demand_rows)
     for a in arrays:  # every caller of the cache shares them
         a.flags.writeable = False
-    buy_prices, shop_prices, last_wear, older, kept = arrays
-    return Kernel(demand, params, num, den, buy_prices, pt, shop_prices, exponent, width,
-                  last_wear, older, kept, max(entry_limit, -1))
+    buy_prices, shop_prices, last_wear, older, demand_rows = arrays
+    return Kernel(demand, params, buy_prices, pt, shop_prices, exponent, width,
+                  last_wear, older, demand_rows, max(entry_limit, -1))
 
 
 class Week(NamedTuple):
@@ -321,45 +340,35 @@ class Week(NamedTuple):
     short: np.ndarray
     state: np.ndarray  # (2, 2, W, B) next week's ready pools, this week's deployed units
     maint: np.ndarray  # (2, B) units in the shop, per kind
-    destroyed: np.ndarray  # (2, B)
-    discards: np.ndarray  # (2, B)
-    instructors: np.ndarray  # (B,)
 
 
-def step_week(state: np.ndarray, inputs: np.ndarray, k: Kernel) -> Week:
+def step_week(state: np.ndarray, inputs: np.ndarray, k: Kernel, answer=None) -> Week:
     """Advance B fleets one week.
 
     state holds last week's (2, 2, W, B) [ready, in_use] pools as prefix
-    sums over wear, and inputs the (3, B) vessel buys, operator buys and
-    demand of the week being entered, both of one dtype.
+    sums over wear, and inputs the (7, B) packed rows of the week being
+    entered (Kernel.inputs), both of one dtype.  answer, if given, is
+    called with short before any unit is deployed, and may raise the
+    ready pools and change the inputs of failing fleets in place; the
+    deployment reads them as answer left them.
     """
-    if inputs.min() < 0:
-        raise ValueError("purchases and demand must be >= 0")
     ready, in_use = state[0], state[1]
-    buys, demand = inputs[:2], inputs[2]
+    buys, need, instructors = inputs[:2], inputs[2:4], inputs[4]
 
     # attrition strikes last week's working units, lowest wear first, so
     # the survivors at or below each wear are all but the destroyed
-    if k.num:
-        destroyed = (2 * k.num * in_use[:, -1] + k.den) // (2 * k.den)
-        survivors = in_use - destroyed[:, None]
-        np.maximum(survivors, 0, out=survivors)
-    else:
-        destroyed = np.zeros_like(buys)
-        survivors = in_use
+    survivors = np.empty((2 * k.width + 1, state.shape[-1]), dtype=state.dtype)
+    survivors[-1] = 0
+    np.subtract(in_use, inputs[5:, None], out=survivors[:-1].reshape(in_use.shape))
+    np.maximum(survivors, 0, out=survivors)
     # one more week of wear; the units it takes to their kind's first
     # discard wear are discarded on entry, take no slot and cost nothing
-    kept = survivors.reshape(-1, state.shape[-1]).take(k.older, axis=0)
-    kept *= k.kept
-    shop = kept[:, -1]
-    discards = survivors[:, -1] - shop
+    kept = survivors.take(k.older, axis=0)
 
     # crews and instructors against the ready pools
-    g = k.params.instruct_capacity
-    instructors = (buys[1] + (g - 1)) // g  # ceil(operator buys / G), as buys >= 0
-    need = _CREW * demand
-    need[1] += instructors
     short = need - ready[:, -1]
+    if answer is not None:
+        answer(short)
 
     # instructors, then crews, then vessels, each lowest wear first: at
     # or below each wear, a kind deploys the units counted past its
@@ -374,13 +383,14 @@ def step_week(state: np.ndarray, inputs: np.ndarray, k: Kernel) -> Week:
     np.subtract(ready, use, out=nxt)
     nxt += kept
     nxt += buys[:, None]
-    return Week(short, out, shop, destroyed, discards, instructors)
+    return Week(short, out, kept[:, -1])
 
 
 def classify_shortfall(short_v: int, short_g: int, instructors: int) -> tuple[int, int]:
     """A week's (code, shortfall) from a row of step_week's short and its
-    instructor count: vessels first, then operator deployment, then
-    instructor reservation; (0, 0) for a staffed week."""
+    instructor count (row 4 of Kernel.inputs): vessels first, then
+    operator deployment, then instructor reservation; (0, 0) for a
+    staffed week."""
     if short_v > 0:
         return 1, short_v
     if short_g > instructors:
@@ -406,19 +416,21 @@ def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
     state = k.start(1, inputs.dtype)
     records = []
     for i in range(params.horizon):
-        w = step_week(state, inputs[:, i:i + 1], k)
-        [instructors] = w.instructors.tolist()
+        week = inputs[:, i:i + 1]
+        w = step_week(state, week, k)
+        cb, ob, _, _, instructors, sv, so = week[:, 0].tolist()
         code, short = classify_shortfall(*w.short[:, 0].tolist(), instructors)
         if code:
             raise InfeasibleError(SHORTFALL_CODES[code], i + 1, short)
+        # last week's workers that survive attrition are in the shop or discarded
+        worked = state[1, :, -1, 0]
         state = w.state
         # everything owned at the end of the week is ready for the next or deployed
         owned = state[:, :, -1, 0].sum(axis=0)
-        (cb, ob, _), (dv, do), (sv, so), (mv, mo), (ov, oo) = (
-            a.tolist() for a in (inputs[:, i], w.discards[:, 0], w.destroyed[:, 0],
-                                 w.maint[:, 0], owned))
+        (dv, do), (mv, mo), (ov, oo) = (a.tolist() for a in (
+            worked - week[5:, 0] - w.maint[:, 0], w.maint[:, 0], owned))
         records.append(WeekRecord(i + 1, cb, ob, dv, do, sv, so, mv, mo, instructors, ob,
-                                  demand[i], k.decimal(k.cost(inputs[:2, i], w.maint[:, 0])),
+                                  demand[i], k.decimal(k.cost(week[:2, 0], w.maint[:, 0])),
                                   ov, oo))
     return Schedule(tuple(records))
 
@@ -444,11 +456,11 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     shortfall is answered with the minimal extra purchase at the latest
     week the one-week lead time allows (the week before the failure);
     weeks before the bump are unaffected by it.  The bumped week changes
-    only by the extra wear-0 intake, which adds to every wear of its
-    stored ready pool's prefix sums, unless the bump raises its
-    instructor count, so the plan adds that intake to the stored week
-    and retries the failed one; a bump that needs more instructors
-    reruns the bumped week instead.
+    only by the extra wear-0 intake, which adds to every wear of the
+    failed week's ready pools' prefix sums, unless the bump raises its
+    instructor count, so the intake is added to those pools in place and
+    the failed week's shortfall recomputed; a bump that needs more
+    instructors reruns the bumped week instead.
 
     One exception cuts a purchase instead of adding one: when a week's
     instructor pool cannot cover the plan's own operator purchase and no
@@ -461,11 +473,17 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     deployment shortfalls are likewise unrepairable: purchases arrive a
     week too late.
 
-    Every kernel round gathers each unfinished plan's slot at its own
-    week cursor from one packed pool array and one packed input array,
-    steps it, and stores every row's pools and shop counts in the plan's
-    next slot; the few rows that failed are then answered one by one in
-    Python ints.  The weeks are priced once, from the final purchases
+    Every kernel round steps each unfinished plan's current week, and
+    the plans whose week failed are answered inside the round, in Python
+    ints, between the shortfall and the deployment: each answer (a
+    clamp, or a bump that needs no more instructors) is applied in place
+    and the week's shortfall recomputed, until the week is staffed or
+    the plan must be held back: by a bump that needs more instructors, or
+    that needs Python ints while the round is in int64, which reruns the
+    week before, or by a week-1 shortfall, which ends its repair.  Each
+    round's output is appended to a log, and a slot index finds every
+    week's pools and shop counts in it for the held plans' reloads and
+    for the pricing.  The weeks are priced once, from the final purchases
     and shop counts, when every plan is done.  stats, if given, counts
     the rounds, the rows they stepped, the bumps per shortfall code and
     the instructor clamps.
@@ -477,14 +495,15 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     h, n = params.horizon, len(plans)
     g = params.instruct_capacity
     span = h + 1
-    # slot b*span + i, on the last axis, holds plan b's pools after i
-    # completed weeks, the shop counts of week i, and the purchases and
-    # demand of week i+1
-    inputs = k.inputs(plans)
-    inputs = np.concatenate((inputs, np.zeros_like(inputs[:, :, :1])), axis=2).reshape(3, -1)
-    state_at = np.zeros((2, 2, k.width, n * span), dtype=inputs.dtype)
-    state_at[..., ::span] = k.start(n, inputs.dtype)
-    shop_at = np.zeros((2, n * span), dtype=inputs.dtype)
+    # slot b*span + i holds plan b's inputs of week i+1 (Kernel.inputs),
+    # and its pools after i completed weeks and shop counts of week i at
+    # column where[b*span + i] of the round log, each log entry's columns
+    # numbered from its start
+    inputs = k.inputs(plans).reshape(7, -1)
+    pools, shop = k.start(n, inputs.dtype), np.zeros((2, n), dtype=inputs.dtype)
+    log, starts = [(pools, shop)], [0]
+    where = np.zeros(n * span, dtype=np.intp)
+    where[::span] = np.arange(n)
     pos = np.arange(0, n * span, span)  # each plan's week cursor, as a slot
     bumped_ops = set()  # slots whose operator purchases a bump raised
     stuck = {}  # plan -> the UnrepairableError of its week-1 shortfall
@@ -495,65 +514,109 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     rounds = stepped = clamps = 0
     rows = np.arange(n)
     left = h  # rounds before any plan can finish its last week
+
+    def answer(short):
+        # pools are the stored pools of the rows' current slots, so a bump
+        # of this week's ready pools lands in the log; x holds the rows'
+        # inputs, which the deployment reads after the answers
+        nonlocal inputs, clamps, left
+        for j in (short.max(axis=0) > 0).nonzero()[0].tolist():
+            b, a = int(rows[j]), int(at[j])
+            short_v, short_g = short[:, j].tolist()
+            instructors = int(x[4, j])
+            while True:
+                code, short_n = classify_shortfall(short_v, short_g, instructors)
+                if not code:
+                    break
+                tries[b] += 1
+                if tries[b] > limit:
+                    raise RuntimeError("repair failed to converge; model invariant broken")
+                if code == 3 and a not in bumped_ops:
+                    # a gratuitous intake: shrink it to what the instructors
+                    # can teach.  shortfall = 4R + ceil(ob/G) - available,
+                    # hence the largest instructable intake is
+                    # G*(ceil(ob/G) - shortfall).
+                    ob = int(x[1, j])
+                    ob_max = g * (instructors - short_n)
+                    if ob_max >= ob:  # strict progress is guaranteed
+                        raise RuntimeError("instructor clamp failed to shrink the intake")
+                    ob = max(ob_max, 0)
+                    fewer = instructors - -(-ob // g)
+                    instructors -= fewer
+                    short_g -= fewer
+                    x[1, j], x[3, j], x[4, j] = ob, x[3, j] - fewer, instructors
+                    inputs[:, a] = x[:, j]
+                    clamps += 1
+                    continue
+                if a % span == 0:  # week 1 has no earlier week to buy in
+                    stuck[b] = _unrepairable(SHORTFALL_CODES[code], short_n, demand, params)
+                    pos[b] = a + h
+                    left = 0
+                    break
+                # buy the shortfall a week earlier: vessels for a vessel
+                # shortfall, else operators
+                bumps[code] += 1
+                kind = min(code - 1, 1)
+                was = int(inputs[kind, a - 1])
+                wide = x.dtype != object and was + short_n > k.entry_limit
+                if wide and inputs.dtype != object:
+                    inputs = inputs.astype(object)
+                inputs[kind, a - 1] = was + short_n
+                more = 0
+                if kind:
+                    bumped_ops.add(a - 1)
+                    more = -(-(was + short_n) // g) - -(-was // g)
+                    if more:  # the week before needs, and has, more instructors
+                        inputs[3:5, a - 1] += more
+                if more or wide:
+                    # rerun the week before with the bump: it adds
+                    # instructors there, or the round cannot hold it
+                    pos[b] = a - 1
+                    held.append(j)
+                    break
+                # otherwise the purchase reaches this week only as wear-0
+                # intake, which adds to every wear of the ready pool's
+                # prefix sums
+                pools[0, kind, :, j] += short_n
+                if kind:
+                    short_g -= short_n
+                else:
+                    short_v -= short_n
+
     while rows.size:
         rounds += 1
         stepped += rows.size
         at = pos[rows]
-        w = step_week(state_at.take(at, axis=3), inputs.take(at, axis=1), k)
-        # every row's week goes to its next slot: a failed row's cursor
-        # stays at or before its slot, so it rewrites that slot before it
-        # passes it again
-        nxt = at + 1
-        state_at[..., nxt] = w.state
-        shop_at[:, nxt] = w.maint
-        pos[rows] = nxt
-        for j in (w.short.max(axis=0) > 0).nonzero()[0].tolist():
-            b, a = int(rows[j]), int(at[j])
-            code, short = classify_shortfall(*w.short[:, j].tolist(), int(w.instructors[j]))
-            tries[b] += 1
-            if rounds > limit and tries[b] > limit:
-                raise RuntimeError("repair failed to converge; model invariant broken")
-            if code == 3 and a not in bumped_ops:
-                # a gratuitous intake: shrink it to what the instructors
-                # can teach and retry the week.  shortfall = 4R +
-                # ceil(ob/G) - available, hence the largest instructable
-                # intake is G*(ceil(ob/G) - shortfall).
-                ob = int(inputs[1, a])
-                ob_max = g * (-(-ob // g) - short)
-                if ob_max >= ob:  # strict progress is guaranteed
-                    raise RuntimeError("instructor clamp failed to shrink the intake")
-                inputs[1, a] = max(ob_max, 0)
-                clamps += 1
-                pos[b] = a
-                continue
-            if a % span == 0:  # week 1 has no earlier week to buy in
-                stuck[b] = _unrepairable(SHORTFALL_CODES[code], short, demand, params)
-                pos[b] = a + h
-                left = 0
-                continue
-            # buy the shortfall a week earlier: vessels for a vessel
-            # shortfall, else operators
-            bumps[code] += 1
-            kind = min(code - 1, 1)
-            was = int(inputs[kind, a - 1])
-            if inputs.dtype != object and was + short > k.entry_limit:
-                inputs, state_at, shop_at = (x.astype(object) for x in (inputs, state_at, shop_at))
-            inputs[kind, a - 1] = was + short
-            if kind:
-                bumped_ops.add(a - 1)
-                if -(-(was + short) // g) != -(-was // g):
-                    pos[b] = a - 1  # more instructors: rerun the week before with them
-                    continue
-            # otherwise the purchase reaches the week it was bought for
-            # only as wear-0 intake: add it to the stored week's ready
-            # pool and retry the failed one
-            state_at[0, kind, :, a] += short
-            pos[b] = a
+        x = inputs.take(at, axis=1)
+        pos[rows] = at + 1
+        held = []
+        w = step_week(pools, x, k, answer)
+        pools, shop = w.state, w.maint
+        if pools.dtype != inputs.dtype:  # a bump widened the inputs
+            pools, shop = pools.astype(object), shop.astype(object)
+        # every row's week goes to its next slot; a held row's cursor is
+        # now before that slot, so it rewrites the slot before it reads it
+        starts.append(starts[-1] + log[-1][1].shape[1])
+        log.append((pools, shop))
+        where[at + 1] = np.arange(starts[-1], starts[-1] + rows.size)
+        for j in held:
+            # reload the held row's slot into its column, which then holds it
+            s = pos[rows[j]]
+            r = bisect_right(starts, where[s]) - 1
+            c = where[s] - starts[r]
+            pools[..., j] = log[r][0][..., c]
+            shop[:, j] = log[r][1][:, c]
+            where[s] = starts[-1] + j
         # a plan finishes only by stepping its last week or sticking in
         # week 1, so drop finished plans only in rounds where one may have
         left -= 1
         if left <= 0:
-            rows = rows[pos[rows] % span < h]
+            keep = pos[rows] % span < h
+            rows = rows[keep]
+            pools, shop = pools[..., keep], shop[:, keep]
+            starts.append(starts[-1] + log[-1][1].shape[1])
+            log.append((pools, shop))
+            where[pos[rows]] = np.arange(starts[-1], starts[-1] + rows.size)
             left = h - int((pos[rows] % span).max(initial=0))
     if stats is not None:
         stats.update({"kernel_rounds": rounds, "rows_stepped": stepped,
@@ -561,12 +624,15 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
                       "bumps_operators": bumps[2], "bumps_instructors": bumps[3]})
     # slot i's purchases and shop counts belong to weeks i+1 and i, so
     # each plan's span of slots prices each of its weeks once
+    shop_at = np.concatenate([sh for _, sh in log], axis=1).take(where, axis=1)
     totals = k.cost(inputs[:2], shop_at).reshape(n, span).sum(axis=1).tolist()
-    # a bump only adds units and a clamp floors at zero, so every plan's
-    # purchases are a valid plan's genes: vessels, then operators
-    fixed = inputs[:2].reshape(2, n, span)[:, :, :h].transpose(1, 0, 2).reshape(n, 2 * h).tolist()
+    # a bump only adds units and a clamp floors at zero, so every changed
+    # plan's purchases are a valid plan's genes: vessels, then operators
+    changed = [b for b in range(n) if tries[b] and b not in stuck]
+    fixed = dict(zip(changed, inputs[:2].reshape(2, n, span)[:, changed, :h]
+                     .transpose(1, 0, 2).reshape(len(changed), 2 * h).tolist()))
     return [stuck[b] if b in stuck else
-            (ProcurementPlan._of(tuple(fixed[b])) if tries[b] else plan,
+            (ProcurementPlan._of(tuple(fixed[b])) if b in fixed else plan,
              k.decimal(totals[b], True))
             for b, plan in enumerate(plans)]
 

@@ -85,7 +85,7 @@ def brute_force_optimum(demand: DemandSeries, params: FleetParams,
         raise ValueError("greedy seed exceeds max_buy; instance outside oracle domain")
     k = kernel(demand, params, costs)
     # every (vessel, operator) choice of a week, vessels major, one row each
-    dtype = np.int64 if max_buy <= k.entry_limit else object
+    dtype = np.int64 if max_buy <= _entry_limit(k) else object
     choices = np.array([(cb, ob) for cb in range(max_buy + 1) for ob in range(max_buy + 1)],
                        dtype=dtype)
     dem = np.array(demand.values, dtype=dtype)
@@ -223,6 +223,19 @@ class ReferenceWeek(NamedTuple):
     instructors: np.ndarray  # (B,)
 
 
+def _entry_limit(k: Kernel) -> int:
+    """k.entry_limit, lowered so that the reference kernel's attrition
+    intermediate 2*num*N + den also fits int64, N being the largest pool
+    (see fleetplan.model.kernel); the production kernel takes its losses
+    from the demand, in Python ints, and needs no such bound."""
+    num, den = k.params.attrition_rate.as_integer_ratio()
+    if not num:
+        return k.entry_limit
+    p = k.params
+    stock = max(p.initial_vessels, p.initial_operators)
+    return min(k.entry_limit, ((2 ** 63 - 1 - den) // (2 * num) - stock) // p.horizon)
+
+
 def reference_start(k: Kernel, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Week-0 per-wear (ready, in_use) pools: the starting stock idle and fully skilled."""
     ready = np.zeros((rows, 2, k.width), dtype=dtype)
@@ -246,10 +259,11 @@ def reference_step_week(ready: np.ndarray, in_use: np.ndarray, buys: np.ndarray,
         raise ValueError("purchases and demand must be >= 0")
 
     # attrition strikes last week's working units; survivors go to the shop
-    if k.num:
+    num, den = k.params.attrition_rate.as_integer_ratio()
+    if num:
         upto = np.add.accumulate(in_use, axis=2)
         worked = upto[:, :, -1]
-        destroyed = (2 * k.num * worked + k.den) // (2 * k.den)
+        destroyed = (2 * num * worked + den) // (2 * den)
         survivors = in_use - _take(in_use, upto - in_use, destroyed)
         surviving = worked - destroyed
     else:
@@ -302,8 +316,10 @@ def reference_repair_batch(plans: list[ProcurementPlan], demand: DemandSeries,
     span = h + 1
     # slot b*span + i holds plan b's state after i completed weeks, the
     # purchases and demand of week i+1, and the cost of week i
-    inputs = k.inputs(plans)
-    buys, dem = inputs[:2].transpose(1, 2, 0), inputs[2, 0]
+    entry_limit = _entry_limit(k)
+    dtype = np.int64 if max(max(p.genes) for p in plans) <= entry_limit else object
+    buys = np.array([p.genes for p in plans], dtype=dtype).reshape(n, 2, h).transpose(0, 2, 1)
+    dem = np.array(demand.values, dtype=dtype)
     buys = np.concatenate((buys, np.zeros_like(buys[:, :1])), axis=1).reshape(-1, 2)
     dem = np.tile(np.append(dem, 0), n)
     ready_at = np.zeros((n * span, 2, k.width), dtype=buys.dtype)
@@ -364,7 +380,7 @@ def reference_repair_batch(plans: list[ProcurementPlan], demand: DemandSeries,
             bumped_ops[fat] |= kind == 1
             pos[fr] = fat
             bump_codes.append(code)
-            if buys.dtype != object and fr.size and buys[fat, kind].max() > k.entry_limit:
+            if buys.dtype != object and fr.size and buys[fat, kind].max() > entry_limit:
                 buys, dem, ready_at, in_use_at, cost_of = (
                     a.astype(object) for a in (buys, dem, ready_at, in_use_at, cost_of))
         done += 1

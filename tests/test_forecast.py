@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fleetplan.domain import DemandSeries
 from fleetplan.forecast import (
@@ -467,6 +467,8 @@ class TestFiniteFits:
     @settings(max_examples=150, deadline=None)
     @given(xs=st.one_of(series(), st.lists(st.floats(), min_size=1, max_size=100)),
            order=orders(), lam=st.floats(0.9, 1.0, exclude_min=True))
+    # an MA coefficient of about 1e-310, whose root overflows np.roots
+    @example(xs=[0.0] + [1.377372625795722e-159] * 9, order=ArimaOrder(0, 0, 1), lam=1.0)
     def test_fit_is_finite_or_raises(self, xs, order, lam):
         try:
             with np.errstate(all="ignore"):

@@ -133,22 +133,25 @@ class TestStepWeek:
         state = k.start(len(rows), np.int64)
         # every unit at wear 0, so at or below every wear
         state[0] = np.array([(v, o) for v, o, _ in rows]).T[:, None]
-        inputs = np.array([(*b, 1) for _, _, b in rows]).T
+        inputs = k.inputs([ProcurementPlan(*zip(b)) for _, _, b in rows])[:, :, 0]
         week = step_week(state, inputs, k)
         code, short = zip(*(classify_shortfall(*fleet, g) for fleet, g in
-                            zip(week.short.T.tolist(), week.instructors.tolist())))
+                            zip(week.short.T.tolist(), inputs[4].tolist())))
         assert [SHORTFALL_CODES[c] for c in code] == [
             "INSUFFICIENT_VESSELS", "INSUFFICIENT_OPERATORS", "INSUFFICIENT_INSTRUCTORS", None]
         assert list(short[:3]) == [1, 4, 1]
-        assert (week.instructors[3], k.cost(inputs[:2, 3], week.maint[:, 3])) == (1, 50 + 2 * 20)
+        assert (inputs[4, 3], k.cost(inputs[:2, 3], week.maint[:, 3])) == (1, 50 + 2 * 20)
 
     def test_rejects_negative_args(self):
+        # the batch's inputs refuse a negative purchase, which only a plan
+        # built without the checking constructor can hold, in int64 and
+        # in Python ints; a negative demand cannot reach the kernel
         k = kernel(DemandSeries((0,)), params(1, 4), COSTS)
-        state = k.start(2, np.int64)
-        with pytest.raises(ValueError):  # a negative purchase
-            step_week(state, np.array([(0, 0, 0), (-1, 0, 0)]).T, k)
-        with pytest.raises(ValueError):  # a negative demand
-            step_week(state, np.array([(0, 0, -1), (0, 0, -1)]).T, k)
+        for entry in (-1, -2 ** 70):
+            with pytest.raises(ValueError):
+                k.inputs([ProcurementPlan.zero(1), ProcurementPlan._of((0, entry))])
+        with pytest.raises(ValueError):
+            DemandSeries((0, -1))
 
 
 class TestCostAggregation:
@@ -338,31 +341,27 @@ class TestRepair:
         assert e.value.week == 1
 
     @staticmethod
-    def _forged(monkeypatch, short, instructors):
-        """Make every fleet of every week step_week steps report short, a
-        (vessel, operator) pair, and that many instructors."""
-        real = model.step_week
-
-        def forged(*args):
-            w = real(*args)
-            return w._replace(short=np.broadcast_to(np.array(short)[:, None], w.short.shape),
-                              instructors=np.full(w.instructors.shape, instructors))
-        monkeypatch.setattr(model, "step_week", forged)
+    def _forged(monkeypatch, code, short):
+        """Make every shortfall repair's answers classify read as (code,
+        short); the kernel must still report a failing row for repair to
+        answer it."""
+        monkeypatch.setattr(model, "classify_shortfall", lambda *row: (code, short))
 
     def test_endless_shortfall_trips_the_convergence_guard(self, monkeypatch):
-        # an instructor shortfall of one on an intake of zero clamps the
-        # intake to zero again, round after round
-        self._forged(monkeypatch, (0, 1), 1)
+        # a week-1 hire with no operator to teach it fails; an instructor
+        # shortfall of one read after every clamp clamps the intake to
+        # zero again and again
+        self._forged(monkeypatch, 3, 1)
         with pytest.raises(RuntimeError, match="repair failed to converge"):
-            repair(ProcurementPlan.zero(1), DemandSeries((0,)), params(1, 4), COSTS)
+            repair(ProcurementPlan((0,), (1,)), DemandSeries((0,)), params(1, 0), COSTS)
 
     def test_clamp_that_cannot_shrink_is_caught(self, monkeypatch):
         # an instructor shortfall of whole units always shrinks the
         # intake; one of half a unit would clamp the intake of 5 to
         # G * (ceil(5 / G) - 1/2) = 5, itself
-        self._forged(monkeypatch, (0, 0.5), 1)
+        self._forged(monkeypatch, 3, 0.5)
         with pytest.raises(RuntimeError, match="instructor clamp failed to shrink the intake"):
-            repair(ProcurementPlan((0,), (5,)), DemandSeries((0,)), params(1, 4), COSTS)
+            repair(ProcurementPlan((0,), (5,)), DemandSeries((0,)), params(1, 0), COSTS)
 
     def test_repair_and_simulate_agrees_with_separate_calls(self):
         p = params(3, 12, k="0.2", horizon=5)
@@ -575,23 +574,32 @@ class TestAgainstReferenceLoop:
         held = np.arange(k.width) <= k.last_wear[:, None]
         ready, in_use = (np.where(held, draw(rows, 2, k.width), 0) for _ in range(2))
         buys, dem = draw(rows, 2), draw(rows) // 4
+        # the packed inputs, with the attrition row of the drawn in_use
+        num, den = p.attrition_rate.as_integer_ratio()
+        worked = in_use.sum(axis=2)
+        destroyed = (2 * num * worked + den) // (2 * den)
+        instructors = -(-buys[:, 1] // p.instruct_capacity)
+        need = np.multiply.outer(dem, (1, 4)).astype(dem.dtype)
+        need[:, 1] += instructors
+        inputs = np.vstack((buys.T, need.T, instructors, destroyed.T))
         # the same pools in step_week's layout: batch last, summed along wear
-        got = step_week(np.stack((ready, in_use)).transpose(0, 2, 3, 1).cumsum(axis=2),
-                        np.vstack((buys.T, dem)), k)
+        got = step_week(np.stack((ready, in_use)).transpose(0, 2, 3, 1).cumsum(axis=2), inputs, k)
         want = reference_step_week(ready, in_use, buys, dem, k)
         # failed rows included: their fields mean nothing, but they are
         # the same nothing
         pairs = {"ready": (got.state[0], want.ready.transpose(1, 2, 0).cumsum(axis=1)),
                  "in_use": (got.state[1], want.in_use.transpose(1, 2, 0).cumsum(axis=1)),
                  "cost": (k.cost(buys.T, got.maint), want.cost),
-                 "instructors": (got.instructors, want.instructors),
-                 **{name: (getattr(got, name), getattr(want, name).T)
-                    for name in ("destroyed", "discards", "maint")}}
+                 "instructors": (inputs[4], want.instructors),
+                 "destroyed": (inputs[5:], want.destroyed.T),
+                 # simulate's count: the survivors not in the shop
+                 "discards": (worked.T - inputs[5:] - got.maint, want.discards.T),
+                 "maint": (got.maint, want.maint.T)}
         for name, (a, b) in pairs.items():
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tolist() == b.tolist(), name
         assert [classify_shortfall(*fleet, g) for fleet, g in
-                zip(got.short.T.tolist(), got.instructors.tolist())] == list(
+                zip(got.short.T.tolist(), inputs[4].tolist())] == list(
                     zip(want.code.tolist(), want.shortfall.tolist()))
 
     @settings(max_examples=150, deadline=None)
@@ -617,6 +625,46 @@ class TestAgainstReferenceLoop:
             steps = np.diff(pools, axis=2)
             assert (pools >= 0).all() and (steps >= 0).all()
             assert not steps[:, past].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_steps_start_from_staffed_weeks(self, data):
+        # Kernel.inputs precomputes each week's attrition from the demand,
+        # which holds only if every state repair_batch and simulate step
+        # from deployed exactly the week before's (R, 4R) units; distinct
+        # weekly demands name the week each stepped row enters
+        _, _, p, costs = draw_instance(data)
+        unit = data.draw(st.sampled_from([1, 10 ** 14, 10 ** 30]))
+        h = p.horizon
+        demand = DemandSeries(tuple(d * unit for d in data.draw(
+            st.lists(st.integers(0, 2 * h), min_size=h, max_size=h, unique=True))))
+        peak = max(demand) // unit
+        p = dataclasses.replace(p, initial_vessels=data.draw(st.integers(0, peak + 3)) * unit,
+                                initial_operators=data.draw(st.integers(0, 4 * peak + 9)) * unit)
+        rows = [_scaled(draw_plan(data, h), data.draw(st.sampled_from([1, unit])))
+                for _ in range(data.draw(st.integers(1, 5)))]
+        num, den = p.attrition_rate.as_integer_ratio()
+        before = dict(zip(demand, (0, *demand)))
+        real = model.step_week
+        steps = []
+
+        def checked(state, inputs, k, answer=None):
+            worked = state[1, :, -1]
+            want = np.array([(r, 4 * r) for r in map(before.get, inputs[2].tolist())]).T
+            assert worked.tolist() == want.tolist()
+            assert inputs[5:].tolist() == ((2 * num * worked + den) // (2 * den)).tolist()
+            steps.append(inputs.shape[1])
+            return real(state, inputs, k, answer)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "step_week", checked)
+            fixed = [got[0] for got in repair_batch(rows, demand, p, costs)
+                     if not isinstance(got, UnrepairableError)]
+            for plan in rows + fixed:
+                try:
+                    simulate(plan, demand, p, costs)
+                except InfeasibleError:
+                    pass
+        assert steps
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
