@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,22 @@ class ArimaModel:
             raise ValueError("coefficient counts must match the model order")
         object.__setattr__(self, "ar_coeffs", tuple(float(v) for v in self.ar_coeffs))
         object.__setattr__(self, "ma_coeffs", tuple(float(v) for v in self.ma_coeffs))
+
+    @cached_property
+    def _predictor_polys(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, checked invertible, and Abar), read-only, built on the first
+        prediction from this model object and kept with it.
+
+        The memo belongs to the object, not to its value: models equal under
+        == can differ in the sign of a zero coefficient, which the filters
+        carry.  A NoninvertibleMAError is raised and never stored, so every
+        call raises it again.
+        """
+        c = _poly_c(self)
+        _check_invertible(c)
+        abar = _poly_a(self)
+        c.flags.writeable = abar.flags.writeable = False
+        return c, abar
 
 
 def difference(series, d: int) -> tuple[np.ndarray, list[float]]:
@@ -178,20 +195,33 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
     P = np.eye(dim) * 1e6
     resid = np.zeros(n)
     phi = np.zeros(dim)
+    # every update below writes in place, so the views taken here (P's
+    # transpose, its flat form and its diagonal as a strided slice of it,
+    # gain as a column) follow the arrays, and the scratch arrays are
+    # allocated once per fit
+    Pphi, gain, step = np.zeros(dim), np.zeros(dim), np.zeros(dim)
+    outer = np.zeros((dim, dim))
+    PT, flat, gain_col = P.T, P.reshape(-1), gain[:, None]
+    diag = flat[::dim + 1]
+    matmul, multiply, divide = np.matmul, np.multiply, np.divide
+    isfinite, every, some = np.isfinite, np.logical_and.reduce, np.logical_or.reduce
     for t, w_t in enumerate(w.tolist()):
-        Pphi = P @ phi
+        matmul(P, phi, out=Pphi)
         denom = lam + float(phi @ Pphi)
-        gain = Pphi / denom
+        divide(Pphi, denom, out=gain)
         err = w_t - float(phi @ theta)
-        theta = theta + gain * err
-        P = (P - np.outer(gain, Pphi)) / lam
-        P = (P + P.T) / 2.0
-        if not np.isfinite(P).all() or (P.diagonal() <= 0).any():
+        theta += multiply(gain, err, out=step)
+        # P = ((P - gain Pphi^T) / lam + its transpose) / 2, element for
+        # element the same operations as the expression written out
+        np.subtract(P, multiply(gain_col, Pphi, out=outer), out=P)
+        divide(P, lam, out=P)
+        divide(np.add(P, PT, out=outer), 2.0, out=P)
+        if not every(isfinite(flat)) or some(diag <= 0):
             raise NumericalBreakdownError(
                 f"covariance lost positive-definiteness at sample {t}")
         e_t = w_t - float(phi @ theta)
         resid[t] = e_t
-        if not (np.isfinite(theta).all() and math.isfinite(e_t)):
+        if not (every(isfinite(theta)) and math.isfinite(e_t)):
             raise NumericalBreakdownError(f"estimate lost finiteness at sample {t}")
         if p:
             phi[1:p] = phi[:p - 1]
@@ -319,9 +349,7 @@ def astrom_predict(model: ArimaModel, history, k: int) -> float:
     trend = _trend(model.series_mean, model.order.d,
                    np.arange(len(y) + k, dtype=float))
     y = y - trend[:len(y)]
-    c = _poly_c(model)
-    _check_invertible(c)
-    abar = _poly_a(model)
+    c, abar = model._predictor_polys
     _, g = diophantine_split(c, abar, k)
     n = len(y)
     # G part: one whole-array pass per coefficient, adding g_j y(t-j) in
@@ -369,9 +397,7 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
     trend = _trend(model.series_mean, model.order.d,
                    np.arange(len(y) + k, dtype=float))
     y = y - trend[:len(y)]
-    c = _poly_c(model)
-    _check_invertible(c)
-    abar = _poly_a(model)
+    c, abar = model._predictor_polys
     n = len(y)
     # AR part of the noise estimate: y(t) + abar_1 y(t-1) + ..., one
     # whole-array pass per coefficient in i order; an overflow leaves a

@@ -34,6 +34,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 
@@ -161,14 +162,19 @@ def selection_weights(costs_: list[Decimal]) -> list[float]:
     return weights
 
 
-def roulette_select(population: list[ProcurementPlan], weights: list[float],
+def roulette_select(population: list[ProcurementPlan], cum_weights: list[float],
                     rng: Random) -> tuple[ProcurementPlan, ProcurementPlan]:
     """Two independent draws, each plan with odds in proportion to its
-    selection weight."""
-    if len(population) != len(weights) or not population:
+    selection weight.
+
+    cum_weights are the weights' running sums, list(accumulate(weights)),
+    the list rng.choices would build from the weights on every call; the
+    draws and the stream consumed are those of choices with the weights.
+    """
+    if len(population) != len(cum_weights) or not population:
         raise ValueError("population and weight lists must match and be nonempty")
-    i, j = rng.choices(range(len(population)), weights=weights, k=2)
-    return population[i], population[j]
+    a, b = rng.choices(population, cum_weights=cum_weights, k=2)
+    return a, b
 
 
 def crossover(a: ProcurementPlan, b: ProcurementPlan, rng: Random,
@@ -186,10 +192,25 @@ def crossover(a: ProcurementPlan, b: ProcurementPlan, rng: Random,
 
 def mutate(plan: ProcurementPlan, magnitude: int, config: SolverConfig,
            rng: Random) -> ProcurementPlan:
-    """Per-gene jitter of up to +-magnitude units, floored at zero."""
-    rate, gate, jitter = config.base_mutation_rate, rng.random, rng.randint
-    return ProcurementPlan._of(tuple([max(0, gene + jitter(-magnitude, magnitude))
-                                      if gate() < rate else gene for gene in plan.genes]))
+    """Per-gene jitter of up to +-magnitude units, floored at zero.
+
+    Each jitter is drawn by the loop rng.randint(-magnitude, magnitude)
+    runs (getrandbits(k) until it is below n, the range's width), without
+    randint's call stack, so it consumes the stream as randint does.
+    """
+    if magnitude < 0:
+        raise ValueError(f"magnitude must be >= 0, got {magnitude}")
+    rate, gate, bits = config.base_mutation_rate, rng.random, rng.getrandbits
+    n = 2 * magnitude + 1
+    k = n.bit_length()
+    genes = list(plan.genes)
+    for i, gene in enumerate(genes):
+        if gate() < rate:
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            genes[i] = max(0, gene - magnitude + r)
+    return ProcurementPlan._of(tuple(genes))
 
 
 def mutation_magnitude(temperature: float, config: SolverConfig) -> int:
@@ -263,12 +284,20 @@ class _Evaluator:
 
 
 def _random_plan(horizon: int, demand: DemandSeries, rng: Random) -> ProcurementPlan:
-    """A uniform random plan: every vessel buy is drawn before any operator buy."""
+    """A uniform random plan: every vessel buy is drawn before any operator
+    buy, each by the loop rng.randint(0, hi) runs (see mutate)."""
     hi_v = max(2, 2 * max(demand))
-    hi_o = 4 * hi_v
-    draw = rng.randint
-    return ProcurementPlan._of(tuple([draw(0, hi_v) for _ in range(horizon)]
-                                     + [draw(0, hi_o) for _ in range(horizon)]))
+    bits = rng.getrandbits
+
+    def draws(n: int):
+        k = n.bit_length()
+        for _ in range(horizon):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            yield r
+
+    return ProcurementPlan._of(tuple([*draws(hi_v + 1), *draws(4 * hi_v + 1)]))
 
 
 def _mean(costs_: list[Decimal]) -> Decimal:
@@ -285,14 +314,14 @@ def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
     """
     plans = [p for p, _ in population]
     costs_ = [c for _, c in population]
-    weights = selection_weights(costs_)
+    cum_weights = list(accumulate(selection_weights(costs_)))
     best_idx = min(range(len(costs_)), key=lambda k: costs_[k])
     nxt = [population[best_idx]]
     magnitude = 1 if temperature is None else mutation_magnitude(temperature, config)
     while (short := config.population_size - len(nxt)) > 0:
         children = []
         for _ in range(-(-short // 2)):
-            pa, pb = roulette_select(plans, weights, rng)
+            pa, pb = roulette_select(plans, cum_weights, rng)
             children += [mutate(child, magnitude, config, rng)
                          for child in crossover(pa, pb, rng, config.crossover_rate)]
         for got in evaluate.outcomes(children):

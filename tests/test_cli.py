@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, outputs, reproducibility."""
 
 import io
+import shlex
 import shutil
 import subprocess
 import sys
@@ -36,6 +37,18 @@ def workdir(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_step(n):
+    """Step n of the README's command-line example: one argv per command,
+    with backslash continuations joined and the leading `fleetplan` dropped."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+    step = block.split("```", 1)[0].split(f"# {n}. ", 1)[1].split(f"# {n + 1}. ", 1)[0]
+    return [shlex.split(line)[1:] for line in step.replace("\\\n", " ").splitlines()
+            if line.startswith("fleetplan ")]
 
 
 class TestGenDemand:
@@ -344,6 +357,16 @@ class TestForecastCommand:
                         for line in (out / "run.manifest").read_text().splitlines())
         assert float(manifest["rls_covariance_trace"]) > 0.0
         assert float(manifest["rls_covariance_condition"]) >= 1.0
+
+    def test_readme_steps_1_and_4(self, tmp_path, monkeypatch):
+        # the README's example as written: step 1's 26 weeks are too few
+        # for an ARIMA(3,1,4) fit, so step 4 forecasts its own 104 weeks
+        monkeypatch.chdir(tmp_path)
+        for argv in readme_step(1) + readme_step(4):
+            assert run(argv) == 0, argv
+        rows = (tmp_path / "fc" / "forecast.csv").read_text().splitlines()
+        assert rows[0] == "week,demand,source"
+        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["observed"] * 104 + ["forecast"] * 8
 
     def test_forecast_deterministic(self, demand104, tmp_path, capsys):
         a, b = tmp_path / "fa", tmp_path / "fb"

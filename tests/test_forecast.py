@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fleetplan import forecast
 from fleetplan.domain import DemandSeries
 from fleetplan.forecast import (
     CHI2_95, ArimaModel, ArimaOrder, DegenerateSeriesError, LengthMismatchError,
@@ -455,6 +456,50 @@ class TestExactness:
                                     lambda: reference(model, xs, k))
                 if out is not None:
                     assert repr(out[0]) == repr(out[1])
+
+
+class TestPredictorMemo:
+    """C and Abar are built once per model object and reused by later
+    predictions from that object."""
+
+    def test_equal_models_keep_their_own_zero_signs(self, monkeypatch):
+        # the two models are equal under == but differ in a zero's sign;
+        # each predicts from its own read-only polynomials, built once, and
+        # every prediction matches the scalar references
+        split = forecast.diophantine_split
+        used = []
+
+        def recording(c, abar, k):
+            used.append((c, abar))
+            return split(c, abar, k)
+
+        monkeypatch.setattr(forecast, "diophantine_split", recording)
+        y = _integrated_arma_series(0)[:200]
+        plus = ArimaModel(ArimaOrder(2, 1, 2), (0.4, -0.2), (0.3, 0.0), 0.05, 1.0)
+        minus = ArimaModel(ArimaOrder(2, 1, 2), (0.4, -0.2), (0.3, -0.0), 0.05, 1.0)
+        assert plus == minus
+        for model in (plus, minus):
+            used.clear()
+            for k in range(1, 7):
+                assert (repr(astrom_predict(model, y, k))
+                        == repr(reference_astrom_predict(model, y, k)))
+                assert (repr(conditional_expectation_predict(model, y, k))
+                        == repr(reference_conditional_expectation_predict(model, y, k)))
+            # astrom_predict's six splits all got the one pair of arrays
+            c, abar = used[0]
+            assert len(used) == 6
+            assert all(got[0] is c and got[1] is abar for got in used)
+            assert np.signbit(c[2]) == (model is minus)
+            for poly in (c, abar):
+                with pytest.raises(ValueError):
+                    poly[0] = 2.0
+
+    def test_noninvertible_raises_on_every_call(self):
+        model = ArimaModel(ArimaOrder(1, 0, 1), (0.5,), (1.0,), 0.0, 1.0)  # root on circle
+        for _ in range(3):
+            for predict in (astrom_predict, conditional_expectation_predict):
+                with pytest.raises(NoninvertibleMAError):
+                    predict(model, [1.0, 2.0, 3.0], 2)
 
 
 class TestFiniteFits:

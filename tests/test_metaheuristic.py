@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal
+from itertools import accumulate
 from random import Random
 
 import pytest
@@ -104,11 +105,25 @@ class TestVariationOperators:
     def test_roulette_prefers_cheap(self):
         a, b = ProcurementPlan((1,), (0,)), ProcurementPlan((0,), (1,))
         rng = Random(1)
-        weights = selection_weights([Decimal(100), Decimal(300)])
-        picks = [roulette_select([a, b], weights, rng) for _ in range(500)]
+        cum_weights = list(accumulate(selection_weights([Decimal(100), Decimal(300)])))
+        picks = [roulette_select([a, b], cum_weights, rng) for _ in range(500)]
         flat = [p for pair in picks for p in pair]
         # expected share for the cheap plan is 201/202
         assert flat.count(a) > 950
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40).filter(
+               lambda w: sum(w) > 0.0),
+           seed=st.integers(0, 2 ** 64))
+    def test_roulette_draws_what_choices_draws(self, weights, seed):
+        # the cumulative weights of a generation draw the pair that
+        # choices with the weights would, from and to the same Random state
+        population = [ProcurementPlan((v,), (0,)) for v in range(len(weights))]
+        new, old = Random(seed), Random(seed)
+        pair = roulette_select(population, list(accumulate(weights)), new)
+        i, j = old.choices(range(len(weights)), weights=weights, k=2)
+        assert pair == (population[i], population[j])
+        assert new.getstate() == old.getstate()
 
     def test_roulette_rejects_mismatch(self):
         with pytest.raises(ValueError):
@@ -150,6 +165,9 @@ class TestVariationOperators:
         for seed in range(10):
             out = mutate(plan, 5, cfg, Random(seed))
             assert all(v >= 0 for v in out.vessel_buys + out.operator_buys)
+        # a negative magnitude leaves no range to draw a jitter from
+        with pytest.raises(ValueError):
+            mutate(plan, -1, cfg, Random(0))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
