@@ -29,7 +29,7 @@ from .domain import (ConfigError, CostParams, DemandSeries, FleetParams,
 from .forecast import (ArimaOrder, DegenerateSeriesError, NoninvertibleMAError,
                        acf, extend_demand, pacf, r_squared, rls_fit, whiteness_check,
                        write_diagnostics_csv, write_forecast_csv)
-from .metaheuristic import (AnnealSchedule, SolverConfig, solve, solve_plain_ga,
+from .metaheuristic import (STATS, AnnealSchedule, SolverConfig, solve, solve_plain_ga,
                             write_stats_csv, write_trace_csv)
 from .model import (InfeasibleError, ScheduleFormatError, UnrepairableError,
                     read_schedule_csv, validate, write_schedule_csv)
@@ -240,7 +240,7 @@ def cmd_bench(args) -> int:
     out_dir = out_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    runs = []  # (method, seed, SolveResult) in results.csv order
     timings = {"hybrid": 0, "plain": 0}
     for seed in range(args.seed_base, args.seed_base + args.seeds):
         config = dataclasses.replace(base_config, rng_seed=seed)
@@ -253,14 +253,13 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter_ns()
         plain = solve_plain_ga(demand, fleet, costs, plain_config)
         timings["plain"] += _ms_since(t0)
-        rows.append(("hybrid", seed, hybrid.schedule.total_cost,
-                     hybrid.trace.evals_to_best))
-        rows.append(("plain", seed, plain.schedule.total_cost,
-                     plain.trace.evals_to_best))
+        runs += [("hybrid", seed, hybrid), ("plain", seed, plain)]
         if args.traces:
             write_trace_csv(out_dir / f"trace_hybrid_seed{seed}.csv", hybrid.trace)
             write_trace_csv(out_dir / f"trace_plain_seed{seed}.csv", plain.trace)
 
+    rows = [(method, seed, result.schedule.total_cost, result.trace.evals_to_best)
+            for method, seed, result in runs]
     # wall_ms stays 0 in the CSV so identical reruns are byte-identical;
     # measured times go to stdout and the manifest
     lines = ["method,seed,best_cost,iterations_to_best,wall_ms"]
@@ -276,6 +275,16 @@ def cmd_bench(args) -> int:
         summary[method] = (med_cost, med_iters)
         lines.append(f"{method},median,{med_cost},{med_iters},0")
     out_path.write_text("\n".join(lines) + "\n")
+    # each run's counters go to stats.csv; its phases' wall times,
+    # summed per method, go to the manifest only
+    counts = [",".join(["method", "seed", *STATS])]
+    phase_s = {}
+    for method, seed, result in runs:
+        counts.append(",".join(map(str, [method, seed, *(result.stats[n] for n in STATS)])))
+        for phase, seconds in result.phase_s.items():
+            key = f"{method}_{phase}_ms"
+            phase_s[key] = phase_s.get(key, 0.0) + seconds
+    (out_dir / "stats.csv").write_text("\n".join(counts) + "\n")
 
     write_manifest(out_dir, started, {
         "command": "bench",
@@ -291,6 +300,7 @@ def cmd_bench(args) -> int:
         "plain_median_iters": summary["plain"][1],
         "hybrid_wall_ms": timings["hybrid"],
         "plain_wall_ms": timings["plain"],
+        **{key: round(seconds * 1e3) for key, seconds in phase_s.items()},
     })
     print(f"hybrid median cost {summary['hybrid'][0]} at {summary['hybrid'][1]} evals; "
           f"plain median cost {summary['plain'][0]} at {summary['plain'][1]} evals "

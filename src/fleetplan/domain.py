@@ -103,15 +103,18 @@ class DemandSeries:
         return self.values[i]
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class ProcurementPlan:
     """Decision variables: vessels and operators to buy each week.
 
     The plan is one gene tuple, the H vessel buys and then the H operator
-    buys; vessel_buys, operator_buys and horizon are read from it.
+    buys; vessel_buys, operator_buys and horizon are read from it.  Plans
+    are equal when their genes are, and a plan hashes its genes once, on
+    first use: the evaluator keys several dicts by each bred plan.
     """
 
     genes: tuple[int, ...]
+    _hash: int | None
 
     def __init__(self, vessel_buys, operator_buys):
         vessel_buys, operator_buys = tuple(map(int, vessel_buys)), tuple(map(int, operator_buys))
@@ -124,6 +127,7 @@ class ProcurementPlan:
                 i = next(i for i, v in enumerate(values) if v < 0)
                 raise ValueError(f"{name} for week {i + 1} must be >= 0, got {values[i]}")
         object.__setattr__(self, "genes", vessel_buys + operator_buys)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _of(cls, genes: tuple[int, ...]) -> "ProcurementPlan":
@@ -132,7 +136,24 @@ class ProcurementPlan:
         since they only swap, floor at zero or add units."""
         plan = object.__new__(cls)
         object.__setattr__(plan, "genes", genes)
+        object.__setattr__(plan, "_hash", None)
         return plan
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.genes == other.genes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self.genes)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # copies and pickles carry the genes alone and hash them afresh
+        return self._of, (self.genes,)
 
     @property
     def horizon(self) -> int:

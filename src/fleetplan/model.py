@@ -265,8 +265,8 @@ class Kernel(NamedTuple):
         total, like Schedule.total_cost, sums from Decimal(0), so its
         exponent is at most 0."""
         n, e = int(cost), self.exponent
-        if total and e > 0:
-            n, e = n * 10 ** e, 0
+        if total and e >= 0:  # an integer, built without parsing a string
+            return Decimal(n * 10 ** e)
         return Decimal(f"{n}E{e}")
 
 
@@ -357,8 +357,7 @@ def step_week(state: np.ndarray, inputs: np.ndarray, k: Kernel, answer=None) -> 
 
     # attrition strikes last week's working units, lowest wear first, so
     # the survivors at or below each wear are all but the destroyed
-    survivors = np.empty((2 * k.width + 1, state.shape[-1]), dtype=state.dtype)
-    survivors[-1] = 0
+    survivors = np.zeros((2 * k.width + 1, state.shape[-1]), dtype=state.dtype)
     np.subtract(in_use, inputs[5:, None], out=survivors[:-1].reshape(in_use.shape))
     np.maximum(survivors, 0, out=survivors)
     # one more week of wear; the units it takes to their kind's first
@@ -400,6 +399,9 @@ def classify_shortfall(short_v: int, short_g: int, instructors: int) -> tuple[in
 
 def _check_horizon(plans: list[ProcurementPlan], demand: DemandSeries,
                    params: FleetParams) -> None:
+    h = params.horizon
+    if len(demand) == h and {len(plan.genes) for plan in plans} <= {2 * h}:
+        return
     for plan in plans:
         if not (plan.horizon == len(demand) == params.horizon):
             raise ValueError(f"horizon mismatch: plan={plan.horizon} demand={len(demand)} "
@@ -502,9 +504,10 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     inputs = k.inputs(plans).reshape(7, -1)
     pools, shop = k.start(n, inputs.dtype), np.zeros((2, n), dtype=inputs.dtype)
     log, starts = [(pools, shop)], [0]
+    rows = np.arange(n)  # the unfinished plans, in their columns' order
+    cur = rows * span  # each one's week cursor, as a slot
     where = np.zeros(n * span, dtype=np.intp)
-    where[::span] = np.arange(n)
-    pos = np.arange(0, n * span, span)  # each plan's week cursor, as a slot
+    where[cur] = rows
     bumped_ops = set()  # slots whose operator purchases a bump raised
     stuck = {}  # plan -> the UnrepairableError of its week-1 shortfall
     # generous guard against a runaway loop; every bump adds >= 1 purchase
@@ -512,7 +515,6 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     tries = [0] * n  # failed steps per plan
     bumps = [0] * 4  # per shortfall code
     rounds = stepped = clamps = 0
-    rows = np.arange(n)
     left = h  # rounds before any plan can finish its last week
 
     def answer(short):
@@ -520,10 +522,13 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
         # of this week's ready pools lands in the log; x holds the rows'
         # inputs, which the deployment reads after the answers
         nonlocal inputs, clamps, left
-        for j in (short.max(axis=0) > 0).nonzero()[0].tolist():
-            b, a = int(rows[j]), int(at[j])
+        failed = (short > 0).nonzero()[1].tolist()
+        if not failed:
+            return
+        for j in sorted(set(failed)):
+            b, a = rows.item(j), at.item(j)
             short_v, short_g = short[:, j].tolist()
-            instructors = int(x[4, j])
+            instructors = x.item(4, j)
             while True:
                 code, short_n = classify_shortfall(short_v, short_g, instructors)
                 if not code:
@@ -536,7 +541,7 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
                     # can teach.  shortfall = 4R + ceil(ob/G) - available,
                     # hence the largest instructable intake is
                     # G*(ceil(ob/G) - shortfall).
-                    ob = int(x[1, j])
+                    ob = x.item(1, j)
                     ob_max = g * (instructors - short_n)
                     if ob_max >= ob:  # strict progress is guaranteed
                         raise RuntimeError("instructor clamp failed to shrink the intake")
@@ -550,15 +555,15 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
                     continue
                 if a % span == 0:  # week 1 has no earlier week to buy in
                     stuck[b] = _unrepairable(SHORTFALL_CODES[code], short_n, demand, params)
-                    pos[b] = a + h
+                    cur[j] = a + h
                     left = 0
                     break
                 # buy the shortfall a week earlier: vessels for a vessel
                 # shortfall, else operators
                 bumps[code] += 1
                 kind = min(code - 1, 1)
-                was = int(inputs[kind, a - 1])
-                wide = x.dtype != object and was + short_n > k.entry_limit
+                was = inputs.item(kind, a - 1)
+                wide = was + short_n > k.entry_limit and x.dtype != object
                 if wide and inputs.dtype != object:
                     inputs = inputs.astype(object)
                 inputs[kind, a - 1] = was + short_n
@@ -571,7 +576,7 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
                 if more or wide:
                     # rerun the week before with the bump: it adds
                     # instructors there, or the round cannot hold it
-                    pos[b] = a - 1
+                    cur[j] = a - 1
                     held.append(j)
                     break
                 # otherwise the purchase reaches this week only as wear-0
@@ -586,38 +591,42 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     while rows.size:
         rounds += 1
         stepped += rows.size
-        at = pos[rows]
+        at = cur
+        cur = at + 1
         x = inputs.take(at, axis=1)
-        pos[rows] = at + 1
         held = []
         w = step_week(pools, x, k, answer)
         pools, shop = w.state, w.maint
         if pools.dtype != inputs.dtype:  # a bump widened the inputs
             pools, shop = pools.astype(object), shop.astype(object)
-        # every row's week goes to its next slot; a held row's cursor is
-        # now before that slot, so it rewrites the slot before it reads it
-        starts.append(starts[-1] + log[-1][1].shape[1])
-        log.append((pools, shop))
-        where[at + 1] = np.arange(starts[-1], starts[-1] + rows.size)
         for j in held:
-            # reload the held row's slot into its column, which then holds it
-            s = pos[rows[j]]
-            r = bisect_right(starts, where[s]) - 1
-            c = where[s] - starts[r]
-            pools[..., j] = log[r][0][..., c]
-            shop[:, j] = log[r][1][:, c]
-            where[s] = starts[-1] + j
+            # the held row's cursor is back at the slot before its failed
+            # week: reload that slot into its column, which then holds it
+            s = where.item(cur.item(j))
+            r = bisect_right(starts, s) - 1
+            pools[..., j] = log[r][0][..., s - starts[r]]
+            shop[:, j] = log[r][1][:, s - starts[r]]
+        # every row's column goes to its cursor's slot: the slot after the
+        # week it stepped, a held row's reloaded slot (it steps the failed
+        # week again before the slot after it is read), or a stuck plan's
+        # last slot, which is never priced
+        start = starts[-1] + log[-1][1].shape[1]
+        starts.append(start)
+        log.append((pools, shop))
+        where[cur] = np.arange(start, start + rows.size)
         # a plan finishes only by stepping its last week or sticking in
         # week 1, so drop finished plans only in rounds where one may have
         left -= 1
         if left <= 0:
-            keep = pos[rows] % span < h
-            rows = rows[keep]
-            pools, shop = pools[..., keep], shop[:, keep]
-            starts.append(starts[-1] + log[-1][1].shape[1])
+            week = cur % span
+            keep = (week < h).nonzero()[0]
+            rows, cur, week = rows.take(keep), cur.take(keep), week.take(keep)
+            pools, shop = pools.take(keep, axis=-1), shop.take(keep, axis=1)
+            start = starts[-1] + log[-1][1].shape[1]
+            starts.append(start)
             log.append((pools, shop))
-            where[pos[rows]] = np.arange(starts[-1], starts[-1] + rows.size)
-            left = h - int((pos[rows] % span).max(initial=0))
+            where[cur] = np.arange(start, start + rows.size)
+            left = h - int(week.max(initial=0))
     if stats is not None:
         stats.update({"kernel_rounds": rounds, "rows_stepped": stepped,
                       "instructor_clamps": clamps, "bumps_vessels": bumps[1],
@@ -626,15 +635,17 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     # each plan's span of slots prices each of its weeks once
     shop_at = np.concatenate([sh for _, sh in log], axis=1).take(where, axis=1)
     totals = k.cost(inputs[:2], shop_at).reshape(n, span).sum(axis=1).tolist()
+    out = [(plan, k.decimal(total, True)) for plan, total in zip(plans, totals)]
     # a bump only adds units and a clamp floors at zero, so every changed
     # plan's purchases are a valid plan's genes: vessels, then operators
     changed = [b for b in range(n) if tries[b] and b not in stuck]
-    fixed = dict(zip(changed, inputs[:2].reshape(2, n, span)[:, changed, :h]
-                     .transpose(1, 0, 2).reshape(len(changed), 2 * h).tolist()))
-    return [stuck[b] if b in stuck else
-            (ProcurementPlan._of(tuple(fixed[b])) if b in fixed else plan,
-             k.decimal(totals[b], True))
-            for b, plan in enumerate(plans)]
+    genes = (inputs[:2].reshape(2, n, span)[:, changed, :h]
+             .transpose(1, 0, 2).reshape(len(changed), 2 * h).tolist())
+    for b, fixed in zip(changed, genes):
+        out[b] = ProcurementPlan._of(tuple(fixed)), out[b][1]
+    for b, err in stuck.items():
+        out[b] = err
+    return out
 
 
 def repair(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,

@@ -446,7 +446,7 @@ def test_09_cli_reruns_byte_identical(tmp_path):
     data_files = [
         "run/schedule.csv", "run/trace.csv",
         "fc/forecast.csv", "fc/diagnostics.csv",
-        "bench/results.csv",
+        "bench/results.csv", "bench/stats.csv",
         "bench/trace_hybrid_seed0.csv", "bench/trace_plain_seed0.csv",
         "bench/trace_hybrid_seed1.csv", "bench/trace_plain_seed1.csv",
     ]

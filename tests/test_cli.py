@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fleetplan import cli
 from fleetplan.cli import main
 from fleetplan.domain import (CONFIG_KEYS, CostParams, DemandSeries, FleetParams,
                               save_config, save_demand)
-from fleetplan.forecast import NoninvertibleMAError
+from fleetplan.forecast import ArimaOrder, NoninvertibleMAError
 
 COSTS = CostParams(Decimal("100"), Decimal("50"), Decimal("20"),
                    Decimal("10"), Decimal("15"))
@@ -465,6 +466,14 @@ class TestBench:
             assert (out_csv.parent / f"trace_hybrid_seed{seed}.csv").exists()
             assert (out_csv.parent / f"trace_plain_seed{seed}.csv").exists()
         assert (out_csv.parent / "run.manifest").exists()
+        stats = [l.split(",") for l in (out_csv.parent / "stats.csv").read_text().splitlines()]
+        assert stats[0][:3] == ["method", "seed", "evaluations"] and len(stats[0]) == 12
+        assert [r[:2] for r in stats[1:]] == [["hybrid", "0"], ["plain", "0"],
+                                              ["hybrid", "1"], ["plain", "1"]]
+        manifest = (out_csv.parent / "run.manifest").read_text()
+        for key in ("hybrid_seed_reduce_ms", "hybrid_ga_loop_ms", "hybrid_final_simulate_ms",
+                    "plain_ga_loop_ms", "plain_final_simulate_ms"):
+            assert f"\n{key} = " in manifest
 
         # identical rerun into a sibling directory is byte-identical on
         # every data file
@@ -474,6 +483,8 @@ class TestBench:
         assert run(args2) == 0
         capsys.readouterr()
         assert out_csv.read_bytes() == out2.read_bytes()
+        assert ((out_csv.parent / "stats.csv").read_bytes()
+                == (out2.parent / "stats.csv").read_bytes())
         for seed in (0, 1):
             for stem in (f"trace_hybrid_seed{seed}.csv", f"trace_plain_seed{seed}.csv"):
                 assert (out_csv.parent / stem).read_bytes() == (out2.parent / stem).read_bytes()
@@ -632,7 +643,8 @@ class TestFuzzedForecast:
     """forecast with one of --order, --horizon, --lambda or --max-lag
     replaced ends in a documented exit code, never a traceback out of
     main().  Horizons stay at or below 10^3: a horizon of 10^9 would ask
-    the trend for gigabytes, and is left untested."""
+    the trend for gigabytes; TestLongRunFlags checks that one reaches the
+    forecaster without running it."""
 
     @pytest.fixture(scope="class")
     def demand104(self, tmp_path_factory):
@@ -685,8 +697,9 @@ class TestFuzzedRunFlags:
     """solve or bench with one of its own flags replaced ends in a
     documented exit code, never a traceback out of main().  Population,
     seeds and max-evals are drawn at or below _RUN_LENGTH_CAPS, and
-    cooling outside (0.99, 1), since larger values only make a run long
-    and are left untested."""
+    cooling outside (0.99, 1), since larger values only make a run long;
+    TestLongRunFlags checks that those reach the solver without running
+    it."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -714,6 +727,81 @@ class TestFuzzedRunFlags:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = run([*out, *inputs, *(f"--{name}={value}" for name, value in flags.items())])
         assert code in range(6)
+
+
+class _Started(Exception):
+    """Raised by a stand-in for the solver or the forecaster: the run got
+    that far with the arguments the stand-in recorded."""
+
+
+class TestLongRunFlags:
+    """Flag values that only make a run long or large reach SolverConfig,
+    AnnealSchedule or the forecaster unchanged.  solve, solve_plain_ga and
+    extend_demand are replaced, as the command module looks them up, by
+    stand-ins that record their arguments and stop the run before it
+    starts, so no long run is started."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("long_run_flags")
+        save_config(tmp / "config.txt", COSTS, FLEET)
+        save_demand(tmp / "demand.csv", DEMAND)
+        assert run(["gen-demand", "--horizon", 104, "--seed", 11, "--level", 6,
+                    "--volatility", 0.25, "--out", tmp / "demand104.csv"]) == 0
+        return tmp
+
+    @staticmethod
+    def started(argv):
+        """The (name, args) of the one stand-in the command reached."""
+        calls = []
+
+        def stand_in(name):
+            def record(*args):
+                calls.append((name, args))
+                raise _Started
+            return record
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("solve", "solve_plain_ga", "extend_demand"):
+                mp.setattr(cli, name, stand_in(name))
+            with pytest.raises(_Started), redirect_stdout(io.StringIO()):
+                run(argv)
+        [call] = calls
+        return call
+
+    @settings(max_examples=30, deadline=None)
+    @given(population=st.integers(_RUN_LENGTH_CAPS["population"] + 1, 10 ** 40),
+           max_evals=st.integers(_RUN_LENGTH_CAPS["max-evals"] + 1, 10 ** 40),
+           cooling=st.floats(0.99, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 10 ** 40),
+           seeds=st.integers(_RUN_LENGTH_CAPS["seeds"] + 1, 10 ** 40),
+           bench=st.booleans())
+    @example(population=10 ** 9, max_evals=10 ** 12, cooling=0.9999999999999999, seed=0,
+             seeds=10 ** 9, bench=True)
+    def test_solver_flags(self, inputs, population, max_evals, cooling, seed, seeds, bench):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = (["bench", "--seeds", seeds, "--seed-base", seed,
+                    "--out", Path(tmp) / "bench" / "results.csv"] if bench
+                   else ["solve", "--seed", seed, "--out-dir", Path(tmp) / "run"])
+            name, args = self.started([
+                *out, "--config", inputs / "config.txt", "--demand", inputs / "demand.csv",
+                "--population", population, "--max-evals", max_evals,
+                "--cooling", repr(cooling)])
+        # bench starts with the first seed's hybrid, whatever the seed count
+        assert name == "solve"
+        demand, fleet, costs, config, schedule = args
+        assert (config.population_size, config.max_iterations, config.rng_seed) == (
+            population, max_evals, seed)
+        assert schedule.cooling_coeff == cooling
+        assert (demand, fleet, costs) == (DEMAND, FLEET, COSTS)
+
+    @pytest.mark.parametrize("horizon", [10 ** 9, 10 ** 40])
+    def test_forecast_horizon(self, inputs, tmp_path, horizon):
+        name, (model, demand, steps) = self.started([
+            "forecast", "--demand", inputs / "demand104.csv", "--order", "1,1,1",
+            "--horizon", horizon, "--out-dir", tmp_path / "fc"])
+        assert (name, steps, len(demand)) == ("extend_demand", horizon, 104)
+        assert model.order == ArimaOrder(1, 1, 1)
 
 
 class TestConsoleScript:

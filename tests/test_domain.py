@@ -1,5 +1,8 @@
 """Core types, rounding, config and demand file I/O."""
 
+import copy
+import dataclasses
+import pickle
 from decimal import Decimal
 
 import pytest
@@ -76,6 +79,50 @@ class TestParams:
             ProcurementPlan((), ())
         with pytest.raises(ValueError):
             ProcurementPlan((-1,), (0,))
+
+
+class TestPlanIdentity:
+    """A plan is its genes: equal genes make equal plans with equal
+    hashes, however the plan was built, copied or unpickled."""
+
+    GENES = (1, 0, 3, 4, 2, 10 ** 30)
+
+    def plans(self):
+        return ProcurementPlan((1, 0, 3), (4, 2, 10 ** 30)), ProcurementPlan._of(self.GENES)
+
+    def test_both_constructors_agree(self):
+        checked, unchecked = self.plans()
+        assert checked == unchecked and not checked != unchecked
+        assert hash(checked) == hash(unchecked)
+        assert {checked: "a"}[unchecked] == "a"
+        assert checked.genes == unchecked.genes == self.GENES
+
+    def test_never_equal_to_a_tuple(self):
+        for plan in self.plans():
+            assert plan != self.GENES and self.GENES != plan
+            assert not plan == self.GENES
+            assert plan != (self.GENES,)
+            assert self.GENES not in {plan} and plan not in {self.GENES: 0}
+
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    def test_copies_and_pickles_keep_equality_and_hash(self, hashed_first):
+        for plan in self.plans():
+            if hashed_first:
+                hash(plan)
+            for twin in (copy.copy(plan), copy.deepcopy(plan),
+                         pickle.loads(pickle.dumps(plan)),
+                         pickle.loads(pickle.dumps(plan, protocol=0))):
+                assert type(twin) is ProcurementPlan
+                assert twin == plan and hash(twin) == hash(plan)
+                assert twin.genes == plan.genes
+
+    def test_frozen_and_repr(self):
+        checked, unchecked = self.plans()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            checked.genes = (0, 0)
+        want = f"ProcurementPlan((1, 0, 3), (4, 2, {10 ** 30}))"
+        assert repr(checked) == repr(unchecked) == want
+        assert repr(ProcurementPlan.zero(2)) == "ProcurementPlan((0, 0), (0, 0))"
 
 
 class TestConfigIO:

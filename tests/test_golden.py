@@ -18,10 +18,12 @@ import hashlib
 from decimal import Decimal
 
 from fleetplan.cli import main
-from fleetplan.domain import CostParams, DemandSeries, FleetParams, save_config, save_demand
+from fleetplan.domain import (CostParams, DemandSeries, FleetParams, gen_demand, save_config,
+                              save_demand)
 from fleetplan.forecast import (ArimaOrder, astrom_predict,
                                 conditional_expectation_predict, rls_fit)
-from fleetplan.metaheuristic import SolverConfig, solve_plain_ga, write_trace_csv
+from fleetplan.metaheuristic import (AnnealSchedule, SolverConfig, solve, solve_plain_ga,
+                                    write_trace_csv)
 from fleetplan.model import write_schedule_csv
 from test_acceptance import _integrated_arma_series
 
@@ -32,6 +34,12 @@ TRACE_SHA256 = "ee54c9f2bcd7d718042aedf85ed72b2537b8e5723bd0a9e7b43e183f14c9d39a
 BENCH_RESULTS_SHA256 = "b14193787d717a06210f149df4328cac5a0029672e34460094fc826ad676e831"
 BENCH_TRACE_HYBRID_SHA256 = "ffe0bde059d35a823b50fb1de9263779b811075bffce2058e45439312003ac2e"
 BENCH_TRACE_PLAIN_SHA256 = "29d7998d8c16707e5d7e9b4860c65a18740bf02c59fb133030e44b48b2297dd3"
+# the one-seed bench's stats.csv: each run's counters, hybrid then plain
+BENCH_STATS = [
+    "method,seed,evaluations,cache_hits,unrepairable,bumps_vessels,bumps_operators,"
+    "bumps_instructors,instructor_clamps,rows_stepped,kernel_rounds,greedy_reductions",
+    "hybrid,0,1500,21,0,229,263,100,153,39802,2208,0",
+    "plain,0,1500,5,0,90,10,6,32,39410,1982,0"]
 # the README solve's stats.csv; rows_stepped and kernel_rounds count the
 # repair loop's work, so a cheaper loop may lower them without moving the rest
 README_STATS = (("evaluations", 15629), ("cache_hits", 31), ("unrepairable", 0),
@@ -87,6 +95,26 @@ def test_readme_bench_is_byte_identical(tmp_path, capsys):
     assert _sha256(out) == BENCH_RESULTS_SHA256
     assert _sha256(out.parent / "trace_hybrid_seed0.csv") == BENCH_TRACE_HYBRID_SHA256
     assert _sha256(out.parent / "trace_plain_seed0.csv") == BENCH_TRACE_PLAIN_SHA256
+    assert (out.parent / "stats.csv").read_text().splitlines() == BENCH_STATS
+
+
+# the hybrid of the benchmark's bench-k0 workload: the README instance at
+# K = 0, population 30, termination 0.001, seed 0
+BENCH_K0_STATS = {"evaluations": 18280, "cache_hits": 560, "unrepairable": 0,
+                  "bumps_vessels": 2835, "bumps_operators": 1785, "bumps_instructors": 1082,
+                  "instructor_clamps": 1518, "rows_stepped": 478494, "kernel_rounds": 18116,
+                  "greedy_reductions": 0}
+
+
+def test_bench_k0_hybrid_search():
+    fleet = FleetParams(instruct_capacity=10, attrition_rate=Decimal("0"),
+                        initial_vessels=6, initial_operators=24, horizon=26)
+    result = solve(gen_demand(26, 17, 5.0, 0.3), fleet, STD_COSTS,
+                   SolverConfig(population_size=30, rng_seed=0),
+                   AnnealSchedule(100.0, 0.98, 0.001))
+    assert result.schedule.total_cost == Decimal(11705)
+    assert result.trace.evals_total == 18280
+    assert result.stats == BENCH_K0_STATS
 
 
 # A 7-week instance where bred children are often unrepairable (their
