@@ -182,6 +182,21 @@ def test_forecast_command_is_byte_identical(tmp_path, capsys):
     assert _sha256(run_dir / "diagnostics.csv") == DIAGNOSTICS_SHA256
 
 
+# the same series at MA order 6, above what the hypothesis orders draw
+FORECAST_216_SHA256 = "359178992f9307c39170d24de1a10ce0a1fac767cbefaaf4ee45ab3949d38283"
+
+
+def test_forecast_above_ma_order_4_is_byte_identical(tmp_path, capsys):
+    demand = tmp_path / "demand.csv"
+    assert main(["gen-demand", "--horizon", "120", "--seed", "23", "--level", "20",
+                 "--volatility", "0.3", "--out", str(demand)]) == 0
+    run_dir = tmp_path / "fc"
+    assert main(["forecast", "--demand", str(demand), "--order", "2,1,6",
+                 "--horizon", "12", "--out-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert _sha256(run_dir / "forecast.csv") == FORECAST_216_SHA256
+
+
 # ARIMA(3,1,4) with lambda 0.99 on gate 6's seed-0 series (2000 samples)
 GATE6_AR = "(-1.0268734548785867, -0.9611590167483137, -0.9191269647252912)"
 GATE6_MA = ("(-0.2908914790386621, -0.31083667978815444, -0.009474890716614264, "
