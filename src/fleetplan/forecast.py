@@ -25,14 +25,22 @@ Bit-identity contract.  Each filter runs in two stages: its FIR part as
 one whole-array numpy pass per coefficient, adding the coefficient's
 term onto every sample in the order a scalar loop would, then its
 recursive 1/C part in plain Python floats over lists, subtracting the C
-terms in lag order.  Elementwise IEEE arithmetic in the same order gives
-the same bits as the per-sample scalar loops the equations describe
-(tests/oracles.py keeps those loops, and the tests require equal
-results), so no output changes with the speed.  Sum-reordering forms
+terms in lag order.  Past the first q samples that recursion is one
+loop compiled once per MA order q, whose body is a single straight-line
+statement per sample, for q = 2
+
+    z2, z1, = z1, v - c1*z1 - c2*z2,
+
+with the last q outputs held in locals: the same subtractions in the
+same lag order, only without the per-tap inner loop.  Elementwise IEEE
+arithmetic in the same order gives the same bits as the per-sample
+scalar loops the equations describe (tests/oracles.py keeps those
+loops, and the tests require equal results, signed zeros, infs and nans
+included), so no output changes with the speed.  Sum-reordering forms
 (np.convolve, lfilter, closed forms) would break that.  The two
-predictors deliberately share no filter helper: each is the other's
-independent cross-check, and a fault in a shared helper would pass
-through both unseen.
+predictors deliberately share no filter helper and each compiles its own
+loop: each is the other's independent cross-check, and a fault in a
+shared helper would pass through both unseen.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -334,15 +343,38 @@ def _trend(mu: float, d: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _astrom_recursion(q: int):
+    """astrom_predict's 1/C loop past the first q samples, for MA order
+    q >= 1: z(t) = u(t) - c_1 z(t-1) - ... - c_q z(t-q) as one statement
+    per sample over locals z1..zq (z1 the latest), which returns the last
+    q outputs in time order.  The source is built from q alone."""
+    zs = ", ".join(f"z{j}" for j in range(q, 0, -1))
+    cs = ", ".join(f"c{j}" for j in range(1, q + 1))
+    new = "v" + "".join(f" - c{j}*z{j}" for j in range(1, q + 1))
+    shifted = "".join(f"z{j}, " for j in range(q - 1, 0, -1))
+    source = (f"def recursion(values, {cs}):\n"
+              f"    {zs}, = values[:{q}]\n"
+              f"    for v in islice(values, {q}, None):\n"
+              f"        {zs}, = {shifted}{new},\n"
+              f"    return {zs},\n")
+    namespace = {"islice": islice}
+    exec(compile(source, f"<astrom recursion q={q}>", "exec"), namespace)
+    return namespace["recursion"]
+
+
 def astrom_predict(model: ArimaModel, history, k: int) -> float:
     """Minimum-variance k-step prediction via the polynomial split.
 
     Filters the detrended history through G/C with zero pre-sample state,
-    G as whole-array passes and 1/C as a plain-float recursion (see the
-    module docstring); the trend is added back at the predicted index.  Raises
+    G as whole-array passes and 1/C as a plain-float recursion, past the
+    first q samples one compiled straight-line loop (see the module
+    docstring); the trend is added back at the predicted index.  Raises
     NoninvertibleMAError when the MA polynomial's roots are not strictly
     outside the unit circle.
     """
+    if k < 1:
+        raise ValueError(f"prediction step must be >= 1, got {k}")
     y = np.asarray(history, dtype=float)
     if len(y) == 0:
         raise SeriesTooShortError("history is empty")
@@ -371,13 +403,29 @@ def astrom_predict(model: ArimaModel, history, k: int) -> float:
         for j in range(1, t + 1):
             acc -= cs[j] * z[t - j]
         z[t] = acc
-    taps = list(enumerate(cs[1:], start=1))
-    for t in range(q, n):
-        acc = z[t]
-        for j, c_j in taps:
-            acc -= c_j * z[t - j]
-        z[t] = acc
-    return float(z[-1] + trend[-1])
+    last = _astrom_recursion(q)(z, *cs[1:])[-1] if 0 < q < n else z[-1]
+    return float(last + trend[-1])
+
+
+@lru_cache(maxsize=None)
+def _conditional_recursion(q: int):
+    """conditional_expectation_predict's own 1/C loop past the first q
+    samples, for MA order q >= 1: e(t) = u(t) - c_1 e(t-1) - ... -
+    c_q e(t-q) as one statement per sample over locals e1..eq (e1 the
+    latest), returning the last q noise estimates in time order.  The
+    source is built from q alone."""
+    es = ", ".join(f"e{j}" for j in range(q, 0, -1))
+    cs = ", ".join(f"c{j}" for j in range(1, q + 1))
+    new = "v" + "".join(f" - c{j}*e{j}" for j in range(1, q + 1))
+    shifted = "".join(f"e{j}, " for j in range(q - 1, 0, -1))
+    source = (f"def recursion(values, {cs}):\n"
+              f"    {es}, = values[:{q}]\n"
+              f"    for v in islice(values, {q}, None):\n"
+              f"        {es}, = {shifted}{new},\n"
+              f"    return {es},\n")
+    namespace = {"islice": islice}
+    exec(compile(source, f"<conditional recursion q={q}>", "exec"), namespace)
+    return namespace["recursion"]
 
 
 def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float:
@@ -387,7 +435,8 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
     Kept deliberately separate from astrom_predict as a cross-check; the
     two must agree to within numerical noise.  The noise estimate runs in
     the same two stages as astrom_predict's filter, in its own code: the
-    A part as whole-array passes from y, the 1/C part in plain floats.
+    A part as whole-array passes from y, the 1/C part in plain floats,
+    past the first q samples through its own compiled straight-line loop.
     """
     if k < 1:
         raise ValueError(f"prediction step must be >= 1, got {k}")
@@ -407,7 +456,8 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
         for i in range(1, min(len(abar), n)):
             u[i:] += abar[i] * y[:n - i]
     # MA part: e(t) = u(t) - c_1 e(t-1) - ... in plain floats, the first q
-    # samples without the lags before the start
+    # samples without the lags before the start; past them only the last
+    # q estimates are written back, the ones the forward roll reads
     e = u.tolist()
     cs = c.tolist()
     q = len(cs) - 1
@@ -416,12 +466,8 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
         for j in range(1, t + 1):
             acc -= cs[j] * e[t - j]
         e[t] = acc
-    taps = list(enumerate(cs[1:], start=1))
-    for t in range(q, n):
-        acc = e[t]
-        for j, c_j in taps:
-            acc -= c_j * e[t - j]
-        e[t] = acc
+    if 0 < q < n:
+        e[n - q:] = _conditional_recursion(q)(e, *cs[1:])
     ab = abar.tolist()
     ext = y.tolist()
     for h in range(1, k + 1):

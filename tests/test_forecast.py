@@ -172,6 +172,11 @@ class TestPredictors:
         model = ar1_model()
         with pytest.raises(ValueError):
             conditional_expectation_predict(model, [1.0], 0)
+        # the step is checked before the trend is built from it
+        for predict in (astrom_predict, conditional_expectation_predict):
+            for k in (-1, -10):
+                with pytest.raises(ValueError, match="prediction step must be >= 1"):
+                    predict(model, [1.0, 2.0, 3.0, 4.0], k)
         with pytest.raises(SeriesTooShortError):
             astrom_predict(model, [], 1)
 
@@ -379,6 +384,12 @@ def orders(draw):
 
 
 @st.composite
+def high_ma_orders(draw):
+    """MA orders 5..8, past what orders() draws."""
+    return ArimaOrder(draw(st.integers(0, 4)), draw(st.integers(0, 2)), draw(st.integers(5, 8)))
+
+
+@st.composite
 def series(draw):
     """Constant, stepped, spiked (up to inf or nan), near-1e150 or
     random-walk series, with lengths on both sides of what a fit of order
@@ -456,6 +467,51 @@ class TestExactness:
                                     lambda: reference(model, xs, k))
                 if out is not None:
                     assert repr(out[0]) == repr(out[1])
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(xs=series(), order=high_ma_orders(), k=st.integers(1, 12),
+           mean=st.floats(-1e3, 1e3),
+           ar=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           ma=st.one_of(st.lists(st.floats(-0.12, 0.12), min_size=8, max_size=8),
+                        st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8)))
+    def test_predictors_above_ma_order_4(self, xs, order, k, mean, ar, ma):
+        # small MA coefficients (|c| sum below 1) keep C invertible
+        model = ArimaModel(order, ar[:order.p], ma[:order.q], mean, 1.0)
+        with np.errstate(all="ignore"):
+            for predict, reference in (
+                    (astrom_predict, reference_astrom_predict),
+                    (conditional_expectation_predict,
+                     reference_conditional_expectation_predict)):
+                out = _same_outcome(lambda: predict(model, xs, k),
+                                    lambda: reference(model, xs, k))
+                if out is not None:
+                    assert repr(out[0]) == repr(out[1])
+
+    def test_every_ma_order_on_short_spiked_and_negative_zero_histories(self):
+        # q = 0..8 on histories of 1..q+2 samples (the warm-up alone, then
+        # the per-q loop over one and two samples), on histories with an
+        # inf or a nan, and on an all -0.0 history
+        rng = np.random.default_rng(19)
+        for q in range(9):
+            ma = tuple(rng.uniform(-0.12, 0.12, q))
+            models = (ArimaModel(ArimaOrder(1, 0, q), (0.4,), ma, 0.0, 1.0),
+                      ArimaModel(ArimaOrder(2, 1, q), (0.3, -0.2), ma, -0.0, 1.0))
+            histories = [list(rng.normal(0.0, 3.0, n)) for n in range(1, q + 3)]
+            for spike in (math.inf, -math.inf, math.nan):
+                xs = list(rng.normal(0.0, 3.0, q + 6))
+                xs[q + 2] = spike
+                histories.append(xs)
+            histories.append([-0.0] * (q + 4))
+            for model in models:
+                for xs in histories:
+                    for k in (1, 3):
+                        with np.errstate(all="ignore"):
+                            assert (repr(astrom_predict(model, xs, k))
+                                    == repr(reference_astrom_predict(model, xs, k)))
+                            assert (repr(conditional_expectation_predict(model, xs, k))
+                                    == repr(reference_conditional_expectation_predict(
+                                        model, xs, k)))
 
 
 class TestPredictorMemo:
