@@ -536,6 +536,8 @@ def reference_rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98
 
 def reference_astrom_predict(model: ArimaModel, history, k: int) -> float:
     """The G/C filter as one scalar double loop per sample."""
+    if k < 1:
+        raise ValueError(f"prediction step must be >= 1, got {k}")
     y = np.asarray(history, dtype=float)
     if len(y) == 0:
         raise SeriesTooShortError("history is empty")
