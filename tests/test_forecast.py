@@ -468,7 +468,6 @@ class TestExactness:
                 if out is not None:
                     assert repr(out[0]) == repr(out[1])
 
-
     @settings(max_examples=150, deadline=None)
     @given(xs=series(), order=high_ma_orders(), k=st.integers(1, 12),
            mean=st.floats(-1e3, 1e3),
@@ -476,7 +475,8 @@ class TestExactness:
            ma=st.one_of(st.lists(st.floats(-0.12, 0.12), min_size=8, max_size=8),
                         st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8)))
     def test_predictors_above_ma_order_4(self, xs, order, k, mean, ar, ma):
-        # small MA coefficients (|c| sum below 1) keep C invertible
+        # the small MA draws (|c| summing below 1) keep C invertible; the
+        # large ones mostly make both sides raise NoninvertibleMAError
         model = ArimaModel(order, ar[:order.p], ma[:order.q], mean, 1.0)
         with np.errstate(all="ignore"):
             for predict, reference in (
