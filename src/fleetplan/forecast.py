@@ -41,6 +41,20 @@ included), so no output changes with the speed.  Sum-reordering forms
 predictors deliberately share no filter helper and each compiles its own
 loop: each is the other's independent cross-check, and a fault in a
 shared helper would pass through both unseen.
+
+Fit health, checked once per fit.  rls_fit first runs its update loop
+inside np.errstate(all="raise"), keeping per sample only a running
+minimum of the covariance's diagonal and the residual's finiteness, and
+checks once at the end that P and theta are finite and that the minimum
+is positive.  That is exact: an inf or nan in P or theta stays
+non-finite through every later update, so the end check sees it
+whenever it arose, while a diagonal entry can dip to zero and recover,
+hence the running minimum.  A floating-point event (overflow, divide,
+invalid, underflow), a non-finite residual or a failed end check reruns
+the same loop from the start with the per-sample checks, in the
+caller's error state: it raises NumericalBreakdownError at the same
+sample with the same warnings as a fit checked throughout, or returns
+the same fit.  A fit that breaks down pays one extra pass.
 """
 
 from __future__ import annotations
@@ -179,6 +193,12 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
     matches the scalar form to the last bit.  stats, if given, receives
     the final covariance's trace and 2-norm condition number (nothing when
     p = q = 0, which fits no coefficients).
+
+    Health is checked once per fit, after a pass that raises on any
+    floating-point event; on trouble the fit reruns with a check after
+    every sample, which raises NumericalBreakdownError where the
+    covariance stops being finite or positive on its diagonal, or the
+    estimates stop being finite (see the module docstring).
     """
     if not (0.9 < forgetting_factor <= 1.0):
         raise ValueError(
@@ -199,20 +219,53 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
         model = ArimaModel(order, (), (), mean, _variance(w) if n else 0.0)
         return model, w.copy()
 
-    lam = forgetting_factor
+    # the checked rerun runs outside the errstate block, so it warns or
+    # raises as the caller's error state says, as a fit checked throughout
+    try:
+        with np.errstate(all="raise"):
+            fit = _rls_pass(w, p, dim, forgetting_factor, checked=False)
+    except FloatingPointError:
+        fit = None
+    if fit is None:
+        fit = _rls_pass(w, p, dim, forgetting_factor, checked=True)
+    theta, P, resid = fit
+
+    if stats is not None:
+        stats["covariance_trace"] = float(np.trace(P))
+        stats["covariance_condition"] = float(np.linalg.cond(P))
+    ma, noise_variance = _flip_inside_ma_roots(theta[order.p:], _variance(resid))
+    model = ArimaModel(order, tuple(theta[:order.p]), tuple(ma), mean, noise_variance)
+    return model, resid
+
+
+def _rls_pass(w: np.ndarray, p: int, dim: int, lam: float, checked: bool,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """One extended-RLS pass over the centered series w; returns
+    (theta, P, resid).
+
+    checked=True checks the fit's health after every sample and raises
+    NumericalBreakdownError at the first sample where P is non-finite or
+    has a diagonal entry <= 0, or theta or the residual is non-finite.
+    checked=False keeps only a running minimum of P's diagonal and the
+    residual's finiteness per sample, and checks P and theta for
+    finiteness and the minimum for positivity once at the end; it returns
+    None at a non-finite residual or a failed end check.  Both run the
+    same update, so a pass that returns gives the same bits either way.
+    """
     theta = np.zeros(dim)  # [ar_1..ar_p, ma_1..ma_q]
     P = np.eye(dim) * 1e6
-    resid = np.zeros(n)
+    resid = np.zeros(len(w))
     phi = np.zeros(dim)
     # every update below writes in place, so the views taken here (P's
     # transpose, its flat form and its diagonal as a strided slice of it,
     # gain as a column) follow the arrays, and the scratch arrays are
-    # allocated once per fit
+    # allocated once per pass
     Pphi, gain, step = np.zeros(dim), np.zeros(dim), np.zeros(dim)
     outer = np.zeros((dim, dim))
     PT, flat, gain_col = P.T, P.reshape(-1), gain[:, None]
     diag = flat[::dim + 1]
-    matmul, multiply, divide = np.matmul, np.multiply, np.divide
+    low = diag.copy()
+    matmul, multiply, divide, minimum = np.matmul, np.multiply, np.divide, np.minimum
     isfinite, every, some = np.isfinite, np.logical_and.reduce, np.logical_or.reduce
     for t, w_t in enumerate(w.tolist()):
         matmul(P, phi, out=Pphi)
@@ -225,12 +278,17 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
         np.subtract(P, multiply(gain_col, Pphi, out=outer), out=P)
         divide(P, lam, out=P)
         divide(np.add(P, PT, out=outer), 2.0, out=P)
-        if not every(isfinite(flat)) or some(diag <= 0):
+        if not checked:
+            minimum(low, diag, out=low)
+        elif not every(isfinite(flat)) or some(diag <= 0):
             raise NumericalBreakdownError(
                 f"covariance lost positive-definiteness at sample {t}")
         e_t = w_t - float(phi @ theta)
         resid[t] = e_t
-        if not (every(isfinite(theta)) and math.isfinite(e_t)):
+        if not checked:
+            if not math.isfinite(e_t):
+                return None
+        elif not (every(isfinite(theta)) and math.isfinite(e_t)):
             raise NumericalBreakdownError(f"estimate lost finiteness at sample {t}")
         if p:
             phi[1:p] = phi[:p - 1]
@@ -238,13 +296,10 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
         if p < dim:
             phi[p + 1:] = phi[p:-1]
             phi[p] = e_t
-
-    if stats is not None:
-        stats["covariance_trace"] = float(np.trace(P))
-        stats["covariance_condition"] = float(np.linalg.cond(P))
-    ma, noise_variance = _flip_inside_ma_roots(theta[order.p:], _variance(resid))
-    model = ArimaModel(order, tuple(theta[:order.p]), tuple(ma), mean, noise_variance)
-    return model, resid
+    if not checked and not (every(isfinite(flat)) and every(isfinite(theta))
+                            and every(low > 0)):
+        return None
+    return theta, P, resid
 
 
 def _flip_inside_ma_roots(ma: np.ndarray, noise_variance: float,

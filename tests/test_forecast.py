@@ -1,13 +1,15 @@
 """Differencing, RLS fitting, the two k-step predictors, diagnostics."""
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fleetplan import forecast
-from fleetplan.domain import DemandSeries
+from fleetplan.domain import DemandSeries, gen_demand
 from fleetplan.forecast import (
     CHI2_95, ArimaModel, ArimaOrder, DegenerateSeriesError, LengthMismatchError,
     NoninvertibleMAError, NumericalBreakdownError, SeriesTooShortError,
@@ -591,3 +593,94 @@ class TestFiniteFits:
         bare = {}
         rls_fit(y, ArimaOrder(0, 1, 0), 0.99, bare)
         assert bare == {}
+
+
+def _uniform_integers(seed: int, scale: int, n: int) -> list[float]:
+    return [float(v) for v in np.random.default_rng(seed).integers(0, scale, n)]
+
+
+def _spiked(at: int, value: float) -> list[float]:
+    xs = [float(t % 7) for t in range(40)]
+    xs[at] = value
+    return xs
+
+
+@st.composite
+def hard_series(draw):
+    """Integer series at scales 10^4..10^12, +-1e200 alternations, and
+    integer series with one nan, inf, -0.0, subnormal or overflowing
+    spike."""
+    # three in four are long enough for every order that orders() draws
+    n = draw(st.integers(80, 120)) if draw(st.integers(0, 3)) else draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["integers", "alternating", "spiked"]))
+    if kind == "alternating":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return [sign * 1e200 * (-1.0) ** t for t in range(n)]
+    xs = _uniform_integers(draw(st.integers(0, 2 ** 32 - 1)),
+                           10 ** draw(st.integers(4, 12)), n)
+    if kind == "spiked":
+        xs[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e153, 1e160]))
+    return xs
+
+
+def _fit_outcome(fit, xs, order, lam, mode):
+    """fit's model repr and residual bytes, or its error's type and message,
+    with the warnings it raised: under warnings filter "always", under
+    "error", or under "always" inside np.errstate(all="ignore")."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if mode == "error" else "always")
+        try:
+            with np.errstate(all="ignore") if mode == "ignore" else contextlib.nullcontext():
+                model, resid = fit(xs, order, lam)
+            outcome = (repr(model), resid.tobytes())
+        except (ValueError, ArithmeticError, RuntimeWarning) as err:
+            outcome = (type(err), str(err))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+class TestHealthCheck:
+    """rls_fit checks the fit's health once per fit and reruns the checked
+    loop on trouble; its outcome and warnings equal the per-sample checks
+    of tests/oracles.py in every warning and error mode."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=hard_series(), order=orders(), lam=st.sampled_from([0.91, 0.95, 0.98, 0.99, 1.0]))
+    # a diagonal of P dips to <= 0 at sample 5 and recovers by the end
+    @example(xs=_uniform_integers(0, 10 ** 6, 50), order=ArimaOrder(3, 0, 2), lam=0.98)
+    # the denominator overflows and the fit completes
+    @example(xs=_spiked(10, 1e153), order=ArimaOrder(1, 0, 0), lam=0.98)
+    # overflows, then a non-finite estimate at sample 5
+    @example(xs=_spiked(5, 1e160), order=ArimaOrder(2, 1, 2), lam=0.98)
+    @example(xs=_spiked(10, math.nan), order=ArimaOrder(2, 1, 2), lam=0.98)
+    @example(xs=_spiked(10, math.inf), order=ArimaOrder(2, 0, 2), lam=0.98)
+    def test_outcome_and_warnings_match_per_sample_checks(self, xs, order, lam):
+        for mode in ("always", "error", "ignore"):
+            assert (_fit_outcome(rls_fit, xs, order, lam, mode)
+                    == _fit_outcome(reference_rls_fit, xs, order, lam, mode))
+
+    def test_fixed_examples_take_the_paths_they_stand_for(self):
+        dip = _fit_outcome(rls_fit, _uniform_integers(0, 10 ** 6, 50),
+                           ArimaOrder(3, 0, 2), 0.98, "always")
+        assert dip == ((NumericalBreakdownError,
+                        "covariance lost positive-definiteness at sample 5"), [])
+        (model, _), caught = _fit_outcome(rls_fit, _spiked(10, 1e153),
+                                          ArimaOrder(1, 0, 0), 0.98, "always")
+        assert model.startswith("ArimaModel(")
+        assert caught and all(w == (RuntimeWarning, "overflow encountered in matmul")
+                              for w in caught)
+
+    def test_real_fits_never_take_the_checked_pass(self, monkeypatch):
+        passes = []
+        real = forecast._rls_pass
+
+        def counting(w, p, dim, lam, checked):
+            passes.append(checked)
+            return real(w, p, dim, lam, checked)
+
+        monkeypatch.setattr(forecast, "_rls_pass", counting)
+        # gate 6's series, then README step 4's history
+        for seed in range(20):
+            rls_fit(_integrated_arma_series(seed), ArimaOrder(3, 1, 4), 0.99)
+        rls_fit(gen_demand(104, 17, 5, 0.3).values, ArimaOrder(3, 1, 4), 0.98)
+        assert passes == [False] * 21
