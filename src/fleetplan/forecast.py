@@ -17,8 +17,8 @@ solves the polynomial identity
 
     C(B) = A(B) * (1-B)^d * F(B) + B^k * G(B),   deg F = k - 1,
 
-and filters the detrended history through G/C; an independent
-conditional-expectation recursion (future noise zeroed) must agree with
+and filters the detrended history through G/C; a second predictor, the
+conditional-expectation recursion (future noise zeroed), must agree with
 it to high precision and both are exported.
 
 Bit-identity contract.  Each filter runs in two stages: its FIR part as
@@ -37,10 +37,11 @@ arithmetic in the same order gives the same bits as the per-sample
 scalar loops the equations describe (tests/oracles.py keeps those
 loops, and the tests require equal results, signed zeros, infs and nans
 included), so no output changes with the speed.  Sum-reordering forms
-(np.convolve, lfilter, closed forms) would break that.  The two
-predictors deliberately share no filter helper and each compiles its own
-loop: each is the other's independent cross-check, and a fault in a
-shared helper would pass through both unseen.
+(np.convolve, lfilter, closed forms) would break that.  Both predictors
+share the preamble and the 1/C recursion; each keeps its own FIR pass.
+A fault in the shared part would pass through both predictors alike, so
+their agreement does not check it: the scalar loops of tests/oracles.py,
+which share no code with this module, do.
 
 Fit health, checked once per fit.  rls_fit first runs its update loop
 inside np.errstate(all="raise"), keeping per sample only a running
@@ -398,12 +399,29 @@ def _trend(mu: float, d: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _detrended(model: ArimaModel, history, k: int,
+               ) -> tuple[np.ndarray, np.floating, np.ndarray, np.ndarray]:
+    """The preamble both predictors share: checks the step and the history
+    and returns the history less its trend, the trend at the predicted
+    index, and the model's C and Abar (see ArimaModel._predictor_polys)."""
+    if k < 1:
+        raise ValueError(f"prediction step must be >= 1, got {k}")
+    y = np.asarray(history, dtype=float)
+    if len(y) == 0:
+        raise SeriesTooShortError("history is empty")
+    trend = _trend(model.series_mean, model.order.d,
+                   np.arange(len(y) + k, dtype=float))
+    y = y - trend[:len(y)]
+    c, abar = model._predictor_polys
+    return y, trend[-1], c, abar
+
+
 @lru_cache(maxsize=None)
-def _astrom_recursion(q: int):
-    """astrom_predict's 1/C loop past the first q samples, for MA order
-    q >= 1: z(t) = u(t) - c_1 z(t-1) - ... - c_q z(t-q) as one statement
-    per sample over locals z1..zq (z1 the latest), which returns the last
-    q outputs in time order.  The source is built from q alone."""
+def _recursion(q: int):
+    """The 1/C loop past the first q samples, for MA order q >= 1:
+    z(t) = u(t) - c_1 z(t-1) - ... - c_q z(t-q) as one statement per
+    sample over locals z1..zq (z1 the latest), which returns the last q
+    outputs in time order.  The source is built from q alone."""
     zs = ", ".join(f"z{j}" for j in range(q, 0, -1))
     cs = ", ".join(f"c{j}" for j in range(1, q + 1))
     new = "v" + "".join(f" - c{j}*z{j}" for j in range(1, q + 1))
@@ -414,8 +432,30 @@ def _astrom_recursion(q: int):
               f"        {zs}, = {shifted}{new},\n"
               f"    return {zs},\n")
     namespace = {"islice": islice}
-    exec(compile(source, f"<astrom recursion q={q}>", "exec"), namespace)
+    exec(compile(source, f"<1/C recursion q={q}>", "exec"), namespace)
     return namespace["recursion"]
+
+
+def _inverse_c(u: np.ndarray, c: np.ndarray) -> tuple[float, ...]:
+    """Filter u through 1/C with zero pre-sample state, in plain floats:
+    z(t) = u(t) - c_1 z(t-1) - ... - c_q z(t-q).  Returns the last
+    max(1, min(q, n)) outputs in time order, all a prediction reads.
+
+    The first q samples skip the lags before the start rather than
+    multiply zeros, which could flip the sign of a zero; past them runs
+    the compiled loop for q.
+    """
+    z = u.tolist()
+    cs = c.tolist()
+    q, n = len(cs) - 1, len(z)
+    for t in range(1, min(q, n)):
+        acc = z[t]
+        for j in range(1, t + 1):
+            acc -= cs[j] * z[t - j]
+        z[t] = acc
+    if 0 < q < n:
+        return _recursion(q)(z, *cs[1:])
+    return tuple(z[-max(q, 1):])
 
 
 def astrom_predict(model: ArimaModel, history, k: int) -> float:
@@ -428,101 +468,41 @@ def astrom_predict(model: ArimaModel, history, k: int) -> float:
     NoninvertibleMAError when the MA polynomial's roots are not strictly
     outside the unit circle.
     """
-    if k < 1:
-        raise ValueError(f"prediction step must be >= 1, got {k}")
-    y = np.asarray(history, dtype=float)
-    if len(y) == 0:
-        raise SeriesTooShortError("history is empty")
-    trend = _trend(model.series_mean, model.order.d,
-                   np.arange(len(y) + k, dtype=float))
-    y = y - trend[:len(y)]
-    c, abar = model._predictor_polys
+    y, trend_k, c, abar = _detrended(model, history, k)
     _, g = diophantine_split(c, abar, k)
     n = len(y)
     # G part: one whole-array pass per coefficient, adding g_j y(t-j) in
     # j order onto 0.0, the scalar sum's order for every t; a term that
     # overflows leaves an inf (or a nan, once infs of both signs meet),
-    # which forecast_demand reports as a non-finite prediction
+    # which extend_demand reports as a non-finite prediction
     u = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(min(len(g), n)):
             u[j:] += g[j] * y[:n - j]
-    # 1/C part: z(t) = u(t) - c_1 z(t-1) - ... in plain floats; the first
-    # q samples skip the lags before the start rather than multiply zeros,
-    # which could flip the sign of a zero
-    z = u.tolist()
-    cs = c.tolist()
-    q = len(cs) - 1
-    for t in range(1, min(q, n)):
-        acc = z[t]
-        for j in range(1, t + 1):
-            acc -= cs[j] * z[t - j]
-        z[t] = acc
-    last = _astrom_recursion(q)(z, *cs[1:])[-1] if 0 < q < n else z[-1]
-    return float(last + trend[-1])
-
-
-@lru_cache(maxsize=None)
-def _conditional_recursion(q: int):
-    """conditional_expectation_predict's own 1/C loop past the first q
-    samples, for MA order q >= 1: e(t) = u(t) - c_1 e(t-1) - ... -
-    c_q e(t-q) as one statement per sample over locals e1..eq (e1 the
-    latest), returning the last q noise estimates in time order.  The
-    source is built from q alone."""
-    es = ", ".join(f"e{j}" for j in range(q, 0, -1))
-    cs = ", ".join(f"c{j}" for j in range(1, q + 1))
-    new = "v" + "".join(f" - c{j}*e{j}" for j in range(1, q + 1))
-    shifted = "".join(f"e{j}, " for j in range(q - 1, 0, -1))
-    source = (f"def recursion(values, {cs}):\n"
-              f"    {es}, = values[:{q}]\n"
-              f"    for v in islice(values, {q}, None):\n"
-              f"        {es}, = {shifted}{new},\n"
-              f"    return {es},\n")
-    namespace = {"islice": islice}
-    exec(compile(source, f"<conditional recursion q={q}>", "exec"), namespace)
-    return namespace["recursion"]
+    return float(_inverse_c(u, c)[-1] + trend_k)
 
 
 def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float:
     """The same k-step prediction by explicit recursion: estimate the noise
     over the history, then roll the model forward with future noise zeroed.
 
-    Kept deliberately separate from astrom_predict as a cross-check; the
-    two must agree to within numerical noise.  The noise estimate runs in
-    the same two stages as astrom_predict's filter, in its own code: the
-    A part as whole-array passes from y, the 1/C part in plain floats,
-    past the first q samples through its own compiled straight-line loop.
+    A cross-check on astrom_predict; the two must agree to within
+    numerical noise.  The noise estimate is y filtered through Abar/C:
+    the A part as whole-array passes from y, in its own code, then the
+    1/C recursion astrom_predict uses.
     """
-    if k < 1:
-        raise ValueError(f"prediction step must be >= 1, got {k}")
-    y = np.asarray(history, dtype=float)
-    if len(y) == 0:
-        raise SeriesTooShortError("history is empty")
-    trend = _trend(model.series_mean, model.order.d,
-                   np.arange(len(y) + k, dtype=float))
-    y = y - trend[:len(y)]
-    c, abar = model._predictor_polys
+    y, trend_k, c, abar = _detrended(model, history, k)
     n = len(y)
     # AR part of the noise estimate: y(t) + abar_1 y(t-1) + ..., one
-    # whole-array pass per coefficient in i order; an overflow leaves a
-    # non-finite value, as in astrom_predict
+    # whole-array pass per coefficient in i order, starting from y itself
+    # (adding onto 0.0 would turn a -0.0 sample into +0.0); an overflow
+    # leaves a non-finite value, as in astrom_predict
     u = y.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, min(len(abar), n)):
             u[i:] += abar[i] * y[:n - i]
-    # MA part: e(t) = u(t) - c_1 e(t-1) - ... in plain floats, the first q
-    # samples without the lags before the start; past them only the last
-    # q estimates are written back, the ones the forward roll reads
-    e = u.tolist()
+    tail = _inverse_c(u, c)
     cs = c.tolist()
-    q = len(cs) - 1
-    for t in range(1, min(q, n)):
-        acc = e[t]
-        for j in range(1, t + 1):
-            acc -= cs[j] * e[t - j]
-        e[t] = acc
-    if 0 < q < n:
-        e[n - q:] = _conditional_recursion(q)(e, *cs[1:])
     ab = abar.tolist()
     ext = y.tolist()
     for h in range(1, k + 1):
@@ -531,12 +511,12 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
             idx = n - 1 + h - i
             if idx >= 0:
                 acc -= ab[i] * ext[idx]
-        for j in range(1, q + 1):
-            idx = n - 1 + h - j
-            if 0 <= idx < n:  # future noise has expectation zero
-                acc += cs[j] * e[idx]
+        # the noise e(n-1+h-j) is tail[h-1-j] for h <= j <= n-1+h; future
+        # noise, j < h, has expectation zero
+        for j in range(h, min(len(cs) - 1, n - 1 + h) + 1):
+            acc += cs[j] * tail[h - 1 - j]
         ext.append(acc)
-    return float(ext[-1] + trend[-1])
+    return float(ext[-1] + trend_k)
 
 
 def forecast_demand(series: DemandSeries, order: ArimaOrder, horizon: int,

@@ -89,7 +89,9 @@ class SolverConfig:
     base_mutation_rate: float = 0.1
     mutation_magnitude_per_temp: float = 0.05
     rng_seed: int = 0
-    max_iterations: int = 200_000  # cap on fitness evaluations
+    # cap on fitness evaluations, checked only once the initial population
+    # is full, which is always filled first: a cap below it is exceeded
+    max_iterations: int = 200_000
 
     def __post_init__(self):
         _require_finite(self)

@@ -164,7 +164,7 @@ class TestPredictors:
     def test_overflowing_filter_is_non_finite_without_warning(self):
         # a history at the top of the float range: each predictor's
         # whole-array pass overflows, and the prediction comes back
-        # non-finite for forecast_demand to report, with no numpy warning
+        # non-finite for extend_demand to report, with no numpy warning
         model = ar1_model(a=2.7, mean=0.0)
         hist = [1e307 * 3.0 ** i for i in range(4)] + [1.7e308]
         assert not math.isfinite(astrom_predict(model, hist, 1))
@@ -493,7 +493,8 @@ class TestExactness:
     def test_every_ma_order_on_short_spiked_and_negative_zero_histories(self):
         # q = 0..8 on histories of 1..q+2 samples (the warm-up alone, then
         # the per-q loop over one and two samples), on histories with an
-        # inf or a nan, and on an all -0.0 history
+        # inf or a nan, and on an all -0.0 history, at steps 1, 3 and q + 3
+        # (past the last MA term and past the end of each short history)
         rng = np.random.default_rng(19)
         for q in range(9):
             ma = tuple(rng.uniform(-0.12, 0.12, q))
@@ -507,7 +508,7 @@ class TestExactness:
             histories.append([-0.0] * (q + 4))
             for model in models:
                 for xs in histories:
-                    for k in (1, 3):
+                    for k in (1, 3, q + 3):
                         with np.errstate(all="ignore"):
                             assert (repr(astrom_predict(model, xs, k))
                                     == repr(reference_astrom_predict(model, xs, k)))
