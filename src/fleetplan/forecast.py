@@ -55,7 +55,14 @@ invalid, underflow), a non-finite residual or a failed end check reruns
 the same loop from the start with the per-sample checks, in the
 caller's error state: it raises NumericalBreakdownError at the same
 sample with the same warnings as a fit checked throughout, or returns
-the same fit.  A fit that breaks down pays one extra pass.
+the same fit.  A fit that breaks down pays one extra pass.  The first
+pass takes its products with ndarray.dot, which costs about half of
+np.matmul per call, and the rerun with np.matmul, so its warnings read
+"encountered in matmul" like those of a fit checked throughout.  That is
+exact: both reach the same BLAS routines on the same operands and give
+the same bits, and inside np.errstate(all="raise") ndarray.dot raises on
+overflow, underflow and invalid as np.matmul does, so the first pass
+reruns on the same events.
 """
 
 from __future__ import annotations
@@ -251,7 +258,10 @@ def _rls_pass(w: np.ndarray, p: int, dim: int, lam: float, checked: bool,
     residual's finiteness per sample, and checks P and theta for
     finiteness and the minimum for positivity once at the end; it returns
     None at a non-finite residual or a failed end check.  Both run the
-    same update, so a pass that returns gives the same bits either way.
+    same update, so a pass that returns gives the same bits either way;
+    checked=False takes its products with ndarray.dot and checked=True
+    with np.matmul, which reach the same BLAS routines (see the module
+    docstring).
     """
     theta = np.zeros(dim)  # [ar_1..ar_p, ma_1..ma_q]
     P = np.eye(dim) * 1e6
@@ -266,13 +276,14 @@ def _rls_pass(w: np.ndarray, p: int, dim: int, lam: float, checked: bool,
     PT, flat, gain_col = P.T, P.reshape(-1), gain[:, None]
     diag = flat[::dim + 1]
     low = diag.copy()
-    matmul, multiply, divide, minimum = np.matmul, np.multiply, np.divide, np.minimum
+    dot = np.matmul if checked else np.ndarray.dot
+    multiply, divide, minimum = np.multiply, np.divide, np.minimum
     isfinite, every, some = np.isfinite, np.logical_and.reduce, np.logical_or.reduce
     for t, w_t in enumerate(w.tolist()):
-        matmul(P, phi, out=Pphi)
-        denom = lam + float(phi @ Pphi)
+        dot(P, phi, out=Pphi)
+        denom = lam + float(dot(phi, Pphi))
         divide(Pphi, denom, out=gain)
-        err = w_t - float(phi @ theta)
+        err = w_t - float(dot(phi, theta))
         theta += multiply(gain, err, out=step)
         # P = ((P - gain Pphi^T) / lam + its transpose) / 2, element for
         # element the same operations as the expression written out
@@ -284,18 +295,19 @@ def _rls_pass(w: np.ndarray, p: int, dim: int, lam: float, checked: bool,
         elif not every(isfinite(flat)) or some(diag <= 0):
             raise NumericalBreakdownError(
                 f"covariance lost positive-definiteness at sample {t}")
-        e_t = w_t - float(phi @ theta)
+        e_t = w_t - float(dot(phi, theta))
         resid[t] = e_t
         if not checked:
             if not math.isfinite(e_t):
                 return None
         elif not (every(isfinite(theta)) and math.isfinite(e_t)):
             raise NumericalBreakdownError(f"estimate lost finiteness at sample {t}")
+        # one shift moves both lag blocks; it carries w(t-p) into slot p,
+        # which e_t overwrites when q > 0
+        phi[1:] = phi[:-1]
         if p:
-            phi[1:p] = phi[:p - 1]
             phi[0] = w_t
         if p < dim:
-            phi[p + 1:] = phi[p:-1]
             phi[p] = e_t
     if not checked and not (every(isfinite(flat)) and every(isfinite(theta))
                             and every(low > 0)):
@@ -504,13 +516,14 @@ def conditional_expectation_predict(model: ArimaModel, history, k: int) -> float
     tail = _inverse_c(u, c)
     cs = c.tolist()
     ab = abar.tolist()
-    ext = y.tolist()
+    # the roll reads y(n-1+h-i) for i < len(ab) and no sample before the
+    # start, so it keeps only the last len(ab) - 1 samples, y(n-1) at last
+    ext = y[max(n - len(ab) + 1, 0):].tolist()
+    last = len(ext) - 1
     for h in range(1, k + 1):
         acc = 0.0
-        for i in range(1, len(ab)):
-            idx = n - 1 + h - i
-            if idx >= 0:
-                acc -= ab[i] * ext[idx]
+        for i in range(1, min(len(ab), last + h + 1)):
+            acc -= ab[i] * ext[last + h - i]
         # the noise e(n-1+h-j) is tail[h-1-j] for h <= j <= n-1+h; future
         # noise, j < h, has expectation zero
         for j in range(h, min(len(cs) - 1, n - 1 + h) + 1):

@@ -640,6 +640,30 @@ def _fit_outcome(fit, xs, order, lam, mode):
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
+def _count_passes(monkeypatch) -> list[bool]:
+    """Record the checked flag of every _rls_pass call from here on."""
+    passes = []
+    real = forecast._rls_pass
+
+    def counting(w, p, dim, lam, checked):
+        passes.append(checked)
+        return real(w, p, dim, lam, checked)
+
+    monkeypatch.setattr(forecast, "_rls_pass", counting)
+    return passes
+
+
+@st.composite
+def healthy_series(draw):
+    """Integer series at scales 10..10^6 and random walks, long enough for
+    every order that orders() draws."""
+    n = draw(st.integers(80, 160))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        return _uniform_integers(seed, 10 ** draw(st.integers(1, 6)), n)
+    return list(np.cumsum(np.random.default_rng(seed).standard_normal(n)))
+
+
 class TestHealthCheck:
     """rls_fit checks the fit's health once per fit and reruns the checked
     loop on trouble; its outcome and warnings equal the per-sample checks
@@ -660,26 +684,57 @@ class TestHealthCheck:
             assert (_fit_outcome(rls_fit, xs, order, lam, mode)
                     == _fit_outcome(reference_rls_fit, xs, order, lam, mode))
 
-    def test_fixed_examples_take_the_paths_they_stand_for(self):
+    def test_fixed_examples_take_the_paths_they_stand_for(self, monkeypatch):
+        passes = _count_passes(monkeypatch)
         dip = _fit_outcome(rls_fit, _uniform_integers(0, 10 ** 6, 50),
                            ArimaOrder(3, 0, 2), 0.98, "always")
         assert dip == ((NumericalBreakdownError,
                         "covariance lost positive-definiteness at sample 5"), [])
+        assert passes == [False, True]
+        passes.clear()
         (model, _), caught = _fit_outcome(rls_fit, _spiked(10, 1e153),
                                           ArimaOrder(1, 0, 0), 0.98, "always")
         assert model.startswith("ArimaModel(")
         assert caught and all(w == (RuntimeWarning, "overflow encountered in matmul")
                               for w in caught)
+        assert passes == [False, True]
+
+    @settings(max_examples=150, deadline=None)
+    @given(xs=healthy_series(), order=orders(),
+           lam=st.sampled_from([0.91, 0.95, 0.98, 0.99, 1.0]))
+    def test_first_pass_equals_checked_pass_bit_for_bit(self, xs, order, lam):
+        # the first pass takes its products with ndarray.dot and the
+        # checked one with np.matmul; a fit that passes its health check
+        # must not depend on which ran
+        w, _ = difference(np.asarray(xs), order.d)
+        w = w - float(w.mean())
+        p, dim = order.p, order.p + order.q
+        assume(dim > 0)
+        try:
+            with np.errstate(all="raise"):
+                first = forecast._rls_pass(w, p, dim, lam, False)
+        except FloatingPointError:
+            first = None
+        assume(first is not None)
+        checked = forecast._rls_pass(w, p, dim, lam, True)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in checked]
+
+    @pytest.mark.parametrize("event, a, b", [("overflow", 1e200, 1e200),
+                                             ("underflow", 1e-200, 1e-200),
+                                             ("invalid", math.inf, 0.0)])
+    def test_ndarray_dot_raises_on_floating_point_events(self, event, a, b):
+        # the first pass reruns on exactly the events np.matmul would raise
+        # on only if ndarray.dot reports them too, matrix-vector into out=
+        # and vector-vector alike
+        x = np.full(4, b)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match=event):
+                np.full((4, 4), a).dot(x, out=np.zeros(4))
+            with pytest.raises(FloatingPointError, match=event):
+                np.full(4, a).dot(x)
 
     def test_real_fits_never_take_the_checked_pass(self, monkeypatch):
-        passes = []
-        real = forecast._rls_pass
-
-        def counting(w, p, dim, lam, checked):
-            passes.append(checked)
-            return real(w, p, dim, lam, checked)
-
-        monkeypatch.setattr(forecast, "_rls_pass", counting)
+        passes = _count_passes(monkeypatch)
         # gate 6's series, then README step 4's history
         for seed in range(20):
             rls_fit(_integrated_arma_series(seed), ArimaOrder(3, 1, 4), 0.99)
