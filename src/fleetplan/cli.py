@@ -183,6 +183,8 @@ def cmd_forecast(args) -> int:
     started = time.perf_counter_ns()
     demand = load_demand(args.demand)
     order = _parse_order(args.order)
+    # extend_demand checks this too, but only after the fit; failing here
+    # spares a bad flag the fit's time and any error the fit would raise
     if args.horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {args.horizon}")
 

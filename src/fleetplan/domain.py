@@ -175,14 +175,6 @@ class ProcurementPlan:
         return cls((0,) * horizon, (0,) * horizon)
 
 
-# config file format: one "key = value" per line, '#' starts a comment line
-_COST_KEYS = ("vessel_price", "operator_price", "training_price",
-              "operator_maint_price", "vessel_maint_price")
-_FLEET_KEYS = ("instruct_capacity", "attrition_rate", "initial_vessels",
-               "initial_operators", "horizon")
-CONFIG_KEYS = _COST_KEYS + _FLEET_KEYS
-
-
 def _parse_decimal(key: str, raw: str) -> Decimal:
     try:
         return Decimal(raw)
@@ -195,6 +187,14 @@ def _parse_int(key: str, raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{key}: not an integer: {raw!r}") from None
+
+
+# config file format: one "key = value" per line, '#' starts a comment line
+_COST_KEYS = tuple(f.name for f in fields(CostParams))
+_FLEET_KEYS = tuple(f.name for f in fields(FleetParams))
+CONFIG_KEYS = _COST_KEYS + _FLEET_KEYS
+# a value's parser, by its field's annotation
+_PARSERS = {"Decimal": _parse_decimal, "int": _parse_int}
 
 
 def load_config(path: str | Path) -> tuple[CostParams, FleetParams]:
@@ -221,14 +221,8 @@ def load_config(path: str | Path) -> tuple[CostParams, FleetParams]:
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
     try:
-        costs = CostParams(*(_parse_decimal(k, seen[k]) for k in _COST_KEYS))
-        fleet = FleetParams(
-            instruct_capacity=_parse_int("instruct_capacity", seen["instruct_capacity"]),
-            attrition_rate=_parse_decimal("attrition_rate", seen["attrition_rate"]),
-            initial_vessels=_parse_int("initial_vessels", seen["initial_vessels"]),
-            initial_operators=_parse_int("initial_operators", seen["initial_operators"]),
-            horizon=_parse_int("horizon", seen["horizon"]),
-        )
+        costs, fleet = (cls(*(_PARSERS[f.type](f.name, seen[f.name]) for f in fields(cls)))
+                        for cls in (CostParams, FleetParams))
     except ValueError as e:
         if isinstance(e, ConfigError):
             raise

@@ -27,7 +27,7 @@ term onto every sample in the order a scalar loop would, then its
 recursive 1/C part in plain Python floats over lists, subtracting the C
 terms in lag order.  Past the first q samples that recursion is one
 loop compiled once per MA order q, whose body is a single straight-line
-statement per sample, for q = 2
+statement per sample (up to 200 taps; see _recursion), for q = 2
 
     z2, z1, = z1, v - c1*z1 - c2*z2,
 
@@ -220,11 +220,10 @@ def rls_fit(series, order: ArimaOrder, forgetting_factor: float = 0.98,
     w, _ = difference(x, order.d)
     mean = float(w.mean())
     w = w - mean
-    n = len(w)
 
     if dim == 0:
         # nothing to estimate: the differenced series is bare noise
-        model = ArimaModel(order, (), (), mean, _variance(w) if n else 0.0)
+        model = ArimaModel(order, (), (), mean, _variance(w))
         return model, w.copy()
 
     # the checked rerun runs outside the errstate block, so it warns or
@@ -428,19 +427,32 @@ def _detrended(model: ArimaModel, history, k: int,
     return y, trend[-1], c, abar
 
 
+# the most taps in one subtraction chain: the compiler recurses once per
+# operator of a chain, and a 3000-tap chain raises RecursionError
+_CHAIN_TAPS = 200
+
+
 @lru_cache(maxsize=None)
 def _recursion(q: int):
     """The 1/C loop past the first q samples, for MA order q >= 1:
     z(t) = u(t) - c_1 z(t-1) - ... - c_q z(t-q) as one statement per
     sample over locals z1..zq (z1 the latest), which returns the last q
-    outputs in time order.  The source is built from q alone."""
+    outputs in time order.  The source is built from q alone.  Past
+    _CHAIN_TAPS taps the chain is split into statements that carry the
+    running value in t (t = v - c1*z1 - ..., then t = t - ...), the same
+    subtractions in the same order."""
     zs = ", ".join(f"z{j}" for j in range(q, 0, -1))
     cs = ", ".join(f"c{j}" for j in range(1, q + 1))
-    new = "v" + "".join(f" - c{j}*z{j}" for j in range(1, q + 1))
+    taps = [f" - c{j}*z{j}" for j in range(1, q + 1)]
+    chains = ["".join(taps[i:i + _CHAIN_TAPS]) for i in range(0, q, _CHAIN_TAPS)]
+    heads = ["v"] + ["t"] * (len(chains) - 1)
+    partial = "".join(f"        t = {head}{chain}\n" for head, chain in zip(heads, chains[:-1]))
+    new = heads[-1] + chains[-1]
     shifted = "".join(f"z{j}, " for j in range(q - 1, 0, -1))
     source = (f"def recursion(values, {cs}):\n"
               f"    {zs}, = values[:{q}]\n"
               f"    for v in islice(values, {q}, None):\n"
+              f"{partial}"
               f"        {zs}, = {shifted}{new},\n"
               f"    return {zs},\n")
     namespace = {"islice": islice}
@@ -539,8 +551,6 @@ def forecast_demand(series: DemandSeries, order: ArimaOrder, horizon: int,
     Predictions are rounded half-up and clamped at zero so the output is
     again a demand series.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     model, _ = rls_fit(series.values, order, forgetting_factor)
     return extend_demand(model, series, horizon)
 
@@ -549,6 +559,8 @@ def extend_demand(model: ArimaModel, series: DemandSeries, horizon: int) -> Dema
     """The 1..horizon-step predictions of a fitted model, rounded half-up
     and clamped at zero; a prediction that overflowed raises
     NumericalBreakdownError."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     out = []
     for k in range(1, horizon + 1):
         pred = astrom_predict(model, series.values, k)

@@ -32,7 +32,7 @@ import csv
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from decimal import Decimal
 from itertools import accumulate
 from pathlib import Path
@@ -164,21 +164,6 @@ def selection_weights(costs_: list[Decimal]) -> list[float]:
     return weights
 
 
-def roulette_select(population: list[ProcurementPlan], cum_weights: list[float],
-                    rng: Random) -> tuple[ProcurementPlan, ProcurementPlan]:
-    """Two independent draws, each plan with odds in proportion to its
-    selection weight.
-
-    cum_weights are the weights' running sums, list(accumulate(weights)),
-    the list rng.choices would build from the weights on every call; the
-    draws and the stream consumed are those of choices with the weights.
-    """
-    if len(population) != len(cum_weights) or not population:
-        raise ValueError("population and weight lists must match and be nonempty")
-    a, b = rng.choices(population, cum_weights=cum_weights, k=2)
-    return a, b
-
-
 def crossover(a: ProcurementPlan, b: ProcurementPlan, rng: Random,
               rate: float) -> tuple[ProcurementPlan, ProcurementPlan]:
     """Uniform per-week swap of the (vessel, operator) purchase pair:
@@ -286,20 +271,10 @@ class _Evaluator:
 
 
 def _random_plan(horizon: int, demand: DemandSeries, rng: Random) -> ProcurementPlan:
-    """A uniform random plan: every vessel buy is drawn before any operator
-    buy, each by the loop rng.randint(0, hi) runs (see mutate)."""
+    """A uniform random plan: every vessel buy is drawn before any operator buy."""
     hi_v = max(2, 2 * max(demand))
-    bits = rng.getrandbits
-
-    def draws(n: int):
-        k = n.bit_length()
-        for _ in range(horizon):
-            r = bits(k)
-            while r >= n:
-                r = bits(k)
-            yield r
-
-    return ProcurementPlan._of(tuple([*draws(hi_v + 1), *draws(4 * hi_v + 1)]))
+    return ProcurementPlan._of(tuple([rng.randint(0, hi) for hi in (hi_v, 4 * hi_v)
+                                      for _ in range(horizon)]))
 
 
 def _mean(costs_: list[Decimal]) -> Decimal:
@@ -316,6 +291,7 @@ def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
     """
     plans = [p for p, _ in population]
     costs_ = [c for _, c in population]
+    # the running sums rng.choices would build from the weights on every call
     cum_weights = list(accumulate(selection_weights(costs_)))
     best_idx = min(range(len(costs_)), key=lambda k: costs_[k])
     nxt = [population[best_idx]]
@@ -323,7 +299,7 @@ def _next_generation(population: list[tuple[ProcurementPlan, Decimal]],
     while (short := config.population_size - len(nxt)) > 0:
         children = []
         for _ in range(-(-short // 2)):
-            pa, pb = roulette_select(plans, cum_weights, rng)
+            pa, pb = rng.choices(plans, cum_weights=cum_weights, k=2)
             children += [mutate(child, magnitude, config, rng)
                          for child in crossover(pa, pb, rng, config.crossover_rate)]
         for got in evaluate.outcomes(children):
@@ -431,9 +407,9 @@ def solve_plain_ga(demand: DemandSeries, params: FleetParams, costs: CostParams,
 def write_trace_csv(path: str | Path, trace: ConvergenceTrace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "temperature", "best_cost", "mean_cost", "reheats"])
+        writer.writerow([f.name for f in fields(TracePoint)])
         for p in trace.points:
-            writer.writerow([p.iteration, repr(p.temperature), p.best_cost, p.mean_cost, p.reheats])
+            writer.writerow(astuple(p))
 
 
 def write_stats_csv(path: str | Path, stats: dict[str, int]) -> None:

@@ -58,7 +58,7 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import MAX_PREC, Decimal, InvalidOperation, Overflow, getcontext, localcontext
 from functools import lru_cache
 from itertools import chain
@@ -145,11 +145,8 @@ class WeekRecord:
     operators_owned: int | None = None
 
 
-# the schedule CSV's columns, in order: every WeekRecord field but ownership
-SCHEDULE_HEADER = ["week", "vessel_buys", "operator_buys", "vessel_discards",
-                   "operator_discards", "vessels_destroyed", "operators_destroyed",
-                   "vessels_maint", "operators_maint", "instructors", "trainees",
-                   "robots_deployed", "week_cost"]
+# the schedule CSV's columns: every WeekRecord field but the last two, ownership
+SCHEDULE_HEADER = [f.name for f in fields(WeekRecord)[:-2]]
 
 
 @dataclass(frozen=True)
@@ -250,14 +247,14 @@ class Kernel(NamedTuple):
         out[3] += out[4]
         return out
 
-    def cost(self, buys: np.ndarray, shop: np.ndarray) -> np.ndarray:
-        """The cost of weeks with (2,) or (2, M) (vessel, operator)
-        purchases and shop counts, in scaled price units (see decimal):
-        the purchases with their trainees' courses, the shop weeks, and
-        ceil(operator buys / G) instructors' charges."""
-        g = self.params.instruct_capacity
-        return (self.buy_prices @ buys + self.shop_prices @ shop
-                + (buys[1] + (g - 1)) // g * self.training_price)
+    def cost(self, inputs: np.ndarray, shop: np.ndarray) -> np.ndarray:
+        """The cost of weeks with (7,) or (7, M) Kernel.inputs rows and
+        (2,) or (2, M) (vessel, operator) shop counts, in scaled price
+        units (see decimal): the purchases with their trainees' courses,
+        the shop weeks, and the instructors' charges for row 4's count,
+        which repair keeps at ceil(operator buys / G)."""
+        return (self.buy_prices @ inputs[:2] + self.shop_prices @ shop
+                + inputs[4] * self.training_price)
 
     def decimal(self, cost, total: bool = False) -> Decimal:
         """A kernel cost as the Decimal that exact arithmetic on the
@@ -432,7 +429,7 @@ def simulate(plan: ProcurementPlan, demand: DemandSeries, params: FleetParams,
         (dv, do), (mv, mo), (ov, oo) = (a.tolist() for a in (
             worked - week[5:, 0] - w.maint[:, 0], w.maint[:, 0], owned))
         records.append(WeekRecord(i + 1, cb, ob, dv, do, sv, so, mv, mo, instructors, ob,
-                                  demand[i], k.decimal(k.cost(week[:2, 0], w.maint[:, 0])),
+                                  demand[i], k.decimal(k.cost(week[:, 0], w.maint[:, 0])),
                                   ov, oo))
     return Schedule(tuple(records))
 
@@ -570,7 +567,7 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
                 more = 0
                 if kind:
                     bumped_ops.add(a - 1)
-                    more = -(-(was + short_n) // g) - -(-was // g)
+                    more = -(-(was + short_n) // g) - inputs.item(4, a - 1)
                     if more:  # the week before needs, and has, more instructors
                         inputs[3:5, a - 1] += more
                 if more or wide:
@@ -634,7 +631,7 @@ def repair_batch(plans: list[ProcurementPlan], demand: DemandSeries, params: Fle
     # slot i's purchases and shop counts belong to weeks i+1 and i, so
     # each plan's span of slots prices each of its weeks once
     shop_at = np.concatenate([sh for _, sh in log], axis=1).take(where, axis=1)
-    totals = k.cost(inputs[:2], shop_at).reshape(n, span).sum(axis=1).tolist()
+    totals = k.cost(inputs, shop_at).reshape(n, span).sum(axis=1).tolist()
     out = [(plan, k.decimal(total, True)) for plan, total in zip(plans, totals)]
     # a bump only adds units and a clamp floors at zero, so every changed
     # plan's purchases are a valid plan's genes: vessels, then operators

@@ -13,8 +13,8 @@ from fleetplan.domain import DemandSeries, gen_demand
 from fleetplan.forecast import (
     CHI2_95, ArimaModel, ArimaOrder, DegenerateSeriesError, LengthMismatchError,
     NoninvertibleMAError, NumericalBreakdownError, SeriesTooShortError,
-    _flip_inside_ma_roots, acf, astrom_predict, conditional_expectation_predict,
-    difference, forecast_demand, integrate, pacf, r_squared, rls_fit, whiteness_check,
+    _flip_inside_ma_roots, _inverse_c, acf, astrom_predict, conditional_expectation_predict,
+    difference, extend_demand, forecast_demand, integrate, pacf, r_squared, rls_fit, whiteness_check,
 )
 from oracles import (reference_astrom_predict, reference_conditional_expectation_predict,
                      reference_rls_fit)
@@ -272,8 +272,12 @@ class TestForecastDemand:
         assert all(v >= 0 for v in out)
 
     def test_horizon_validated(self):
-        with pytest.raises(ValueError):
-            forecast_demand(DemandSeries((5,) * 30), ArimaOrder(1, 0, 0), 0)
+        series = DemandSeries((5, 6, 5, 7, 6) * 6)
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            forecast_demand(series, ArimaOrder(1, 0, 0), 0)
+        model, _ = rls_fit(series.values, ArimaOrder(1, 0, 0))
+        with pytest.raises(ValueError, match="horizon must be >= 1, got -1"):
+            extend_demand(model, series, -1)
 
 
 class TestDiagnostics:
@@ -515,6 +519,22 @@ class TestExactness:
                             assert (repr(conditional_expectation_predict(model, xs, k))
                                     == repr(reference_conditional_expectation_predict(
                                         model, xs, k)))
+
+    def test_inverse_c_past_the_compilers_recursion_limit(self):
+        # at q = 3000 one subtraction chain per sample is too deep for the
+        # compiler; the split chains give the per-tap loop's bits
+        rng = np.random.default_rng(23)
+        q, n = 3000, 3100
+        c = np.concatenate(([1.0], rng.uniform(-1e-4, 1e-4, q)))
+        u = rng.normal(0.0, 3.0, n)
+        cs, z = c.tolist(), u.tolist()
+        for t in range(1, n):
+            acc = z[t]
+            for j in range(1, min(t, q) + 1):
+                acc -= cs[j] * z[t - j]
+            z[t] = acc
+        got = _inverse_c(u, c)
+        assert np.array(got).tobytes() == np.array(z[-q:]).tobytes()
 
 
 class TestPredictorMemo:

@@ -12,7 +12,7 @@ from fleetplan.domain import (CostParams, DemandSeries, FleetParams, NumericalBr
                               ProcurementPlan, round_half_up)
 from fleetplan.metaheuristic import (
     AnnealSchedule, SolverConfig, _random_plan, anneal_step, crossover, mutation_magnitude,
-    mutate, roulette_select, selection_weights, solve, solve_plain_ga,
+    mutate, selection_weights, solve, solve_plain_ga,
     write_trace_csv,
 )
 from fleetplan.model import UnrepairableError, validate
@@ -106,7 +106,7 @@ class TestVariationOperators:
         a, b = ProcurementPlan((1,), (0,)), ProcurementPlan((0,), (1,))
         rng = Random(1)
         cum_weights = list(accumulate(selection_weights([Decimal(100), Decimal(300)])))
-        picks = [roulette_select([a, b], cum_weights, rng) for _ in range(500)]
+        picks = [rng.choices([a, b], cum_weights=cum_weights, k=2) for _ in range(500)]
         flat = [p for pair in picks for p in pair]
         # expected share for the cheap plan is 201/202
         assert flat.count(a) > 950
@@ -120,16 +120,10 @@ class TestVariationOperators:
         # choices with the weights would, from and to the same Random state
         population = [ProcurementPlan((v,), (0,)) for v in range(len(weights))]
         new, old = Random(seed), Random(seed)
-        pair = roulette_select(population, list(accumulate(weights)), new)
+        pair = new.choices(population, cum_weights=list(accumulate(weights)), k=2)
         i, j = old.choices(range(len(weights)), weights=weights, k=2)
-        assert pair == (population[i], population[j])
+        assert pair == [population[i], population[j]]
         assert new.getstate() == old.getstate()
-
-    def test_roulette_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            roulette_select([], [], Random(0))
-        with pytest.raises(ValueError):
-            roulette_select([ProcurementPlan((0,), (0,))], [], Random(0))
 
     def test_crossover_rate_zero_copies(self):
         a = ProcurementPlan((1, 2, 3), (4, 5, 6))

@@ -140,7 +140,7 @@ class TestStepWeek:
         assert [SHORTFALL_CODES[c] for c in code] == [
             "INSUFFICIENT_VESSELS", "INSUFFICIENT_OPERATORS", "INSUFFICIENT_INSTRUCTORS", None]
         assert list(short[:3]) == [1, 4, 1]
-        assert (inputs[4, 3], k.cost(inputs[:2, 3], week.maint[:, 3])) == (1, 50 + 2 * 20)
+        assert (inputs[4, 3], k.cost(inputs[:, 3], week.maint[:, 3])) == (1, 50 + 2 * 20)
 
     def test_rejects_negative_args(self):
         # the batch's inputs refuse a negative purchase, which only a plan
@@ -589,7 +589,7 @@ class TestAgainstReferenceLoop:
         # the same nothing
         pairs = {"ready": (got.state[0], want.ready.transpose(1, 2, 0).cumsum(axis=1)),
                  "in_use": (got.state[1], want.in_use.transpose(1, 2, 0).cumsum(axis=1)),
-                 "cost": (k.cost(buys.T, got.maint), want.cost),
+                 "cost": (k.cost(inputs, got.maint), want.cost),
                  "instructors": (inputs[4], want.instructors),
                  "destroyed": (inputs[5:], want.destroyed.T),
                  # simulate's count: the survivors not in the shop
